@@ -1,11 +1,14 @@
 // google-benchmark microbenchmarks of the DSP kernels on the TagBreathe
 // hot path: FFT, the FFT low-pass, FIR design/filtering, preprocessing,
-// fusion and the ACF fundamental search.
+// fusion, the ACF fundamental search and the batched extraction sweep.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/breath_extractor.hpp"
 #include "core/fusion.hpp"
 #include "core/phase_preprocess.hpp"
 #include "signal/fft.hpp"
@@ -148,18 +151,28 @@ void BM_FirFiltFilt(benchmark::State& state) {
 }
 BENCHMARK(BM_FirFiltFilt)->Arg(600)->Arg(2400);
 
-void BM_AcfFundamental(benchmark::State& state) {
-  // 120 s of 20 Hz track with a 10 bpm oscillation + noise.
-  std::vector<double> x = noise_signal(2400);
+std::vector<double> breathing_signal(std::size_t n, std::uint64_t seed = 3) {
+  // 20 Hz track with a 10 bpm oscillation + noise.
+  std::vector<double> x = noise_signal(n, seed);
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = 0.01 * std::sin(2.0 * 3.14159 * 0.1667 * static_cast<double>(i) / 20.0) +
            0.003 * x[i];
+  return x;
+}
+
+void BM_AcfFundamental(benchmark::State& state) {
+  // range(0) samples at 20 Hz: 600 is the realtime engine's 30 s window
+  // (the adaptive-band seed), 2400 a 120 s offline track. One warm
+  // workspace, as extract_many passes it.
+  const auto x = breathing_signal(static_cast<std::size_t>(state.range(0)));
+  signal::FftWorkspace ws;
   for (auto _ : state) {
-    const double f = signal::autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
+    const double f =
+        signal::autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws);
     benchmark::DoNotOptimize(f);
   }
 }
-BENCHMARK(BM_AcfFundamental);
+BENCHMARK(BM_AcfFundamental)->Arg(600)->Arg(2400);
 
 void BM_Goertzel(benchmark::State& state) {
   const auto x = noise_signal(2400);
@@ -282,6 +295,39 @@ BENCHMARK(BM_BandlimitSweep)
     ->ArgsProduct({{0, 1}, {0, 1}, {16, 64}})
     ->Unit(benchmark::kMicrosecond);
 
+void BM_ExtractManyBatch(benchmark::State& state) {
+  // The realtime extraction stage as one shard chunk runs it: 16 tracks
+  // through one extract_many sweep with the default config (adaptive
+  // band on, FFT low-pass), warm workspace and scratch. range(0) is the
+  // track length at 20 Hz: 600 samples is 30 s; the pipeline's 30 s
+  // fusion grid includes both window ends, so its tracks have 601.
+  // Items are tracks.
+  constexpr std::size_t kTracks = 16;
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  constexpr double kRate = 20.0;
+  std::vector<std::vector<signal::TimedSample>> tracks(kTracks);
+  for (std::size_t j = 0; j < kTracks; ++j) {
+    const auto x = breathing_signal(samples, 41 + j);
+    for (std::size_t i = 0; i < samples; ++i)
+      tracks[j].push_back(
+          signal::TimedSample{static_cast<double>(i) / kRate, x[i]});
+  }
+  const core::BreathExtractor extractor;
+  std::vector<core::BreathSignal> outs(kTracks);
+  std::vector<core::ExtractJob> jobs;
+  for (std::size_t j = 0; j < kTracks; ++j)
+    jobs.push_back(core::ExtractJob{tracks[j], kRate, &outs[j]});
+  signal::FftWorkspace ws;
+  core::ExtractScratch scratch;
+  for (auto _ : state) {
+    extractor.extract_many(jobs, ws, scratch);
+    benchmark::DoNotOptimize(outs.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTracks));
+}
+BENCHMARK(BM_ExtractManyBatch)->Arg(600)->Arg(601)->Unit(benchmark::kMicrosecond);
+
 void BM_FuseStreams(benchmark::State& state) {
   // Three 120 s delta streams at ~60 Hz each.
   common::Rng rng(5);
@@ -302,4 +348,24 @@ BENCHMARK(BM_FuseStreams);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Custom main: alongside the normal console output, mirror results as
+// JSON into BENCH_dsp.json (override the path with the
+// TAGBREATHE_BENCH_JSON environment variable, or pass an explicit
+// --benchmark_out, which takes precedence) so CI can check the rows.
+int main(int argc, char** argv) {
+  const char* json_path = std::getenv("TAGBREATHE_BENCH_JSON");
+  std::string out_flag = std::string("--benchmark_out=") +
+                         (json_path != nullptr ? json_path : "BENCH_dsp.json");
+  std::string format_flag = "--benchmark_out_format=json";
+  std::vector<char*> args;
+  args.push_back(argv[0]);
+  args.push_back(out_flag.data());
+  args.push_back(format_flag.data());
+  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
+  int args_count = static_cast<int>(args.size());
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

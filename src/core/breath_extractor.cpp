@@ -66,7 +66,6 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
   // their capacity across assigns).
   if (scratch.values.size() < count) {
     scratch.values.resize(count);
-    scratch.coarse.resize(count);
     scratch.filtered.resize(count);
   }
   scratch.band_lo.assign(count, config_.low_cut_hz);
@@ -90,31 +89,43 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     if (config_.detrend) signal::detrend_linear(values);
   }
 
-  // Stage 2: effective pass band — the configured [low_cut, cutoff],
-  // optionally narrowed around the located spectral peak. The coarse
-  // low-pass that feeds the peak search runs as ONE batched transform
-  // sweep; the ACF peak search stays per job.
-  if (config_.adaptive_band) {
-    scratch.filter_jobs.clear();
+  // Stage 2: ONE forward transform sweep. Both FFT filters below read
+  // these bins (the coarse low-pass masks a copy, the main filter masks
+  // them in place), so the forward transform runs once per track.
+  const bool fft_main = config_.filter == FilterKind::FftLowpass;
+  if (config_.adaptive_band || fft_main) {
+    if (ws.spectra.size() < count) ws.spectra.resize(count);
+    scratch.fwd_jobs.clear();
     for (std::size_t j = 0; j < count; ++j) {
       if (scratch.active[j] == 0) continue;
-      scratch.filter_jobs.push_back(signal::BandLimitJob{
-          scratch.values[j], jobs[j].sample_rate_hz, signal::kDcRejectHz,
-          config_.cutoff_hz, &scratch.coarse[j]});
+      scratch.fwd_jobs.push_back(
+          signal::RealFftJob{scratch.values[j], &ws.spectra[j]});
     }
-    signal::fft_bandlimit_many(scratch.filter_jobs, ws);
+    signal::fft_real_many(scratch.fwd_jobs, ws.scratch);
+  }
 
+  // Stage 3: effective pass band — the configured [low_cut, cutoff],
+  // optionally narrowed around the located spectral peak. Per job: the
+  // coarse low-pass of the track, then its ACF peak search.
+  if (config_.adaptive_band) {
     const double floor_hz =
         std::max(config_.low_cut_hz, config_.peak_search_floor_hz);
     for (std::size_t j = 0; j < count; ++j) {
       if (scratch.active[j] == 0) continue;
+      const std::vector<signal::cdouble>& spectrum = ws.spectra[j];
+      scratch.coarse_spectrum.assign(spectrum.begin(), spectrum.end());
+      const signal::BandMaskJob coarse{&scratch.coarse_spectrum,
+                                       jobs[j].sample_rate_hz,
+                                       signal::kDcRejectHz, config_.cutoff_hz,
+                                       &scratch.coarse};
+      signal::bandlimit_inverse_many({&coarse, 1}, ws);
       // Seed the band from the autocorrelation fundamental of the
       // coarse-low-passed track: the ACF pools the fundamental and its
       // harmonics at the true period and tolerates the track's mixed
       // white + random-walk noise far better than spectral peak-picking.
       const double f0 = signal::autocorrelation_fundamental(
-          scratch.coarse[j], jobs[j].sample_rate_hz, floor_hz,
-          config_.cutoff_hz);
+          scratch.coarse, jobs[j].sample_rate_hz, floor_hz, config_.cutoff_hz,
+          ws);
       if (f0 > 0.0) {
         double lo = std::max(scratch.band_lo[j], config_.adaptive_lo_frac * f0);
         double hi = std::min(scratch.band_hi[j], config_.adaptive_hi_frac * f0);
@@ -128,21 +139,22 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     }
   }
 
-  // Stage 3: the main filter.
+  // Stage 4: the main filter.
   switch (config_.filter) {
     case FilterKind::FftLowpass: {
-      // One batched band-limit sweep; a zero low cut becomes the DC
-      // reject exactly as fft_lowpass_into(remove_dc=true) would.
-      scratch.filter_jobs.clear();
+      // One batched mask-and-inverse sweep over the stage-2 bins; a zero
+      // low cut becomes the DC reject exactly as
+      // fft_lowpass_into(remove_dc=true) would.
+      scratch.mask_jobs.clear();
       for (std::size_t j = 0; j < count; ++j) {
         if (scratch.active[j] == 0) continue;
         const double f_lo = scratch.band_lo[j] > 0.0 ? scratch.band_lo[j]
                                                      : signal::kDcRejectHz;
-        scratch.filter_jobs.push_back(signal::BandLimitJob{
-            scratch.values[j], jobs[j].sample_rate_hz, f_lo,
-            scratch.band_hi[j], &scratch.filtered[j]});
+        scratch.mask_jobs.push_back(signal::BandMaskJob{
+            &ws.spectra[j], jobs[j].sample_rate_hz, f_lo, scratch.band_hi[j],
+            &scratch.filtered[j]});
       }
-      signal::fft_bandlimit_many(scratch.filter_jobs, ws);
+      signal::bandlimit_inverse_many(scratch.mask_jobs, ws);
       break;
     }
     case FilterKind::FirLowpass: {
@@ -179,7 +191,7 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     }
   }
 
-  // Stage 4 (per job): emit the filtered samples on the track's grid.
+  // Stage 5 (per job): emit the filtered samples on the track's grid.
   for (std::size_t j = 0; j < count; ++j) {
     if (scratch.active[j] == 0) continue;
     const ExtractJob& job = jobs[j];

@@ -67,16 +67,19 @@ struct ExtractJob {
   BreathSignal* out = nullptr;
 };
 
-/// Reusable staging for extract_many: per-job conditioned values, coarse
-/// low-pass outputs and filter outputs (all live at once across the
-/// batched transform sweeps), plus the filter-job array. High-water
-/// sized — nothing shrinks — so a warm scratch runs any previously-seen
-/// batch shape without allocating.
+/// Reusable staging for extract_many: per-job conditioned values and
+/// filter outputs (all live at once across the batched transform
+/// sweeps), the one-job-at-a-time coarse low-pass (a masked copy of the
+/// job's spectrum and its inverse), plus the sweep job arrays.
+/// High-water sized — nothing shrinks — so a warm scratch runs any
+/// previously-seen batch shape without allocating.
 struct ExtractScratch {
   std::vector<std::vector<double>> values;
-  std::vector<std::vector<double>> coarse;
   std::vector<std::vector<double>> filtered;
-  std::vector<signal::BandLimitJob> filter_jobs;
+  std::vector<signal::cdouble> coarse_spectrum;
+  std::vector<double> coarse;
+  std::vector<signal::RealFftJob> fwd_jobs;
+  std::vector<signal::BandMaskJob> mask_jobs;
   std::vector<double> band_lo;
   std::vector<double> band_hi;
   std::vector<unsigned char> active;
@@ -98,10 +101,13 @@ class BreathExtractor {
                        double sample_rate_hz,
                        signal::FftWorkspace* workspace = nullptr) const;
 
-  /// Batched extraction: conditions every track, runs the coarse
-  /// adaptive-band low-pass and the main band filter as batched
-  /// transform sweeps (fft_bandlimit_many) through the shared plan, and
-  /// fills every job's `out`. Thread-safe for distinct workspaces and
+  /// Batched extraction: conditions every track, runs ONE forward
+  /// transform sweep into workspace.spectra, and filters those bins
+  /// twice — the coarse adaptive-band low-pass masks a copy (feeding the
+  /// ACF peak search), the main band filter masks them in place
+  /// (bandlimit_inverse_many) — then fills every job's `out`. Output is
+  /// bit-identical to running the coarse and main fft_bandlimit_many
+  /// sweeps separately. Thread-safe for distinct workspaces and
   /// scratches.
   void extract_many(std::span<const ExtractJob> jobs,
                     signal::FftWorkspace& workspace,

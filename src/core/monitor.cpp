@@ -77,7 +77,8 @@ bool BreathMonitor::analyze_prepare(const StreamDemux& demux,
   // Signal health: judged over every stream the user has, so a working
   // set that went quiet is not mistaken for a healthy signal.
   {
-    std::vector<double> times;
+    std::vector<double>& times = scratch.read_times;
+    times.clear();
     for (const auto* stream : all_streams)
       for (const TagRead& r : *stream)
         if (r.time_s >= t0 && r.time_s <= t1) times.push_back(r.time_s);

@@ -80,6 +80,9 @@ struct alignas(64) AnalysisScratch {
   std::vector<std::vector<signal::TimedSample>> deltas;
   /// Extraction jobs staged across one analyze_users batch.
   std::vector<ExtractJob> extract_jobs;
+  /// Signal-health staging: the in-window read times of the user being
+  /// prepared, across all of its streams.
+  std::vector<double> read_times;
 };
 
 /// Everything TagBreathe derives for one user from one window.

@@ -258,6 +258,7 @@ RealFftPlan::RealFftPlan(std::size_t n) : n_(n) {
   if (n < 2 || n % 2 != 0)
     throw std::invalid_argument("RealFftPlan: size must be even and >= 2");
   half_ = FftPlan::get(n / 2, FftDirection::Forward);
+  half_inv_ = FftPlan::get(n / 2, FftDirection::Inverse);
   // Packing twiddles exp(-2*pi*i*k/N) for k in [0, N/2].
   twiddles_.resize(n / 2 + 1);
   for (std::size_t k = 0; k <= n / 2; ++k) {
@@ -304,6 +305,42 @@ void RealFftPlan::execute(std::span<const double> in, std::span<cdouble> out,
       o[k] = xk;
       o[n_ - k] = std::conj(xk);
     }
+  }
+}
+
+void RealFftPlan::execute_inverse(std::span<const cdouble> spectrum,
+                                  std::span<double> out,
+                                  FftScratch& scratch) const {
+  if (spectrum.size() != n_ || out.size() != n_)
+    throw std::invalid_argument(
+        "RealFftPlan::execute_inverse: span size mismatch");
+  const std::size_t h = n_ / 2;
+
+  // Re-tangle the half spectrum into the spectrum of the packed signal
+  // z[m] = x[2m] + i*x[2m+1] (the forward untangle, solved backwards):
+  //   Fe[k] = (X[k] + conj(X[h-k])) / 2
+  //   Fo[k] = (X[k] - conj(X[h-k])) / 2 * conj(W^k)
+  //   Z[k]  = Fe[k] + i*Fo[k]
+  // for k in [0, h). Only the real parts of the DC and Nyquist bins
+  // enter (the Hermitian part of the spectrum), so bins 0..h suffice.
+  std::vector<cdouble>& zv = scratch.b;
+  zv.resize(h);
+  cdouble* const z = zv.data();
+  const cdouble* const x = spectrum.data();
+  const cdouble* const tw = twiddles_.data();
+  for (std::size_t k = 0; k < h; ++k) {
+    const cdouble xk = k == 0 ? cdouble(x[0].real(), 0.0) : x[k];
+    const cdouble xc = k == 0 ? cdouble(x[h].real(), 0.0) : std::conj(x[h - k]);
+    const cdouble fe = 0.5 * (xk + xc);
+    const cdouble fo = 0.5 * (xk - xc) * std::conj(tw[k]);
+    z[k] = fe + cdouble(-fo.imag(), fo.real());
+  }
+  half_inv_->execute(zv, scratch);  // includes the 1/h scale
+
+  double* const o = out.data();
+  for (std::size_t k = 0; k < h; ++k) {
+    o[2 * k] = z[k].real();
+    o[2 * k + 1] = z[k].imag();
   }
 }
 
@@ -402,17 +439,26 @@ void fft_real_many(std::span<const RealFftJob> jobs, FftScratch& scratch) {
 }
 
 void ifft_real_many(std::span<const RealIfftJob> jobs, FftScratch& scratch) {
-  std::shared_ptr<const FftPlan> plan;
+  std::shared_ptr<const RealFftPlan> even_plan;
+  std::shared_ptr<const FftPlan> odd_plan;
   for (const RealIfftJob& job : jobs) {
     const std::size_t n = job.spectrum.size();
-    std::vector<cdouble>& time = *job.time;
     std::vector<double>& out = *job.out;
-    time.resize(n);
     out.resize(n);
     if (n == 0) continue;
-    if (plan == nullptr || plan->size() != n)
-      plan = FftPlan::get(n, FftDirection::Inverse);
-    plan->execute(job.spectrum, time, scratch);
+    if (n % 2 == 0) {
+      if (even_plan == nullptr || even_plan->size() != n)
+        even_plan = RealFftPlan::get(n);
+      even_plan->execute_inverse(job.spectrum, out, scratch);
+      continue;
+    }
+    // Odd length: full complex inverse staged in scratch.b (as in the
+    // forward widening), keep the real part.
+    std::vector<cdouble>& time = scratch.b;
+    time.resize(n);
+    if (odd_plan == nullptr || odd_plan->size() != n)
+      odd_plan = FftPlan::get(n, FftDirection::Inverse);
+    odd_plan->execute(job.spectrum, time, scratch);
     const cdouble* const t = time.data();
     double* const o = out.data();
     for (std::size_t i = 0; i < n; ++i) o[i] = t[i].real();
@@ -433,17 +479,15 @@ std::vector<cdouble> fft_real(std::span<const double> input) {
 }
 
 void ifft_real_into(std::span<const cdouble> spectrum,
-                    std::vector<cdouble>& time, std::vector<double>& out,
-                    FftScratch& scratch) {
-  const RealIfftJob job{spectrum, &time, &out};
+                    std::vector<double>& out, FftScratch& scratch) {
+  const RealIfftJob job{spectrum, &out};
   ifft_real_many({&job, 1}, scratch);
 }
 
 std::vector<double> ifft_real(std::span<const cdouble> spectrum) {
-  std::vector<cdouble> time;
   std::vector<double> out;
   FftScratch scratch;
-  ifft_real_into(spectrum, time, out, scratch);
+  ifft_real_into(spectrum, out, scratch);
   return out;
 }
 

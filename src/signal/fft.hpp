@@ -41,8 +41,9 @@ bool is_pow2(std::size_t n) noexcept;
 /// In-place radix-2 DIT FFT. Requires data.size() to be a power of two.
 /// `inverse` applies the conjugate transform and the 1/N scale, so
 /// fft_pow2(x); fft_pow2(x, true) is the identity. This is the legacy
-/// planless kernel (twiddles recomputed per call); the plan-based path
-/// below is preferred on hot paths.
+/// planless kernel (twiddles recomputed per call). No hot path runs it;
+/// it stays as the independent reference the planned transforms are
+/// tested against.
 void fft_pow2(std::vector<cdouble>& data, bool inverse = false);
 
 enum class FftDirection : std::uint8_t { Forward = 0, Inverse = 1 };
@@ -55,7 +56,7 @@ enum class FftDirection : std::uint8_t { Forward = 0, Inverse = 1 };
 /// scratches (AnalysisPool slots) never share a line across workers.
 struct alignas(64) FftScratch {
   std::vector<cdouble> a;  // Bluestein convolution buffer (size m)
-  std::vector<cdouble> b;  // staging: real packing / widening buffer
+  std::vector<cdouble> b;  // staging: real packing / widening, both directions
 };
 
 /// Precomputed transform plan for one (size, direction).
@@ -109,15 +110,19 @@ class FftPlan {
   std::shared_ptr<const FftPlan> inv_m_;  // inverse plan of size m
 };
 
-/// Plan for the forward DFT of a real signal of even length N via the
-/// packing trick: the N reals are packed into N/2 complex samples, one
+/// Plan for the DFT of a real signal of even length N via the packing
+/// trick: the N reals are packed into N/2 complex samples, one
 /// N/2-point complex FFT runs, and the halves are untangled with the
 /// precomputed packing twiddles — roughly halving the cost of the
-/// full-complex transform. Produces all N (conjugate-symmetric) bins.
+/// full-complex transform. The forward execute produces all N
+/// (conjugate-symmetric) bins; execute_inverse runs the same steps
+/// backwards (c2r) with the conjugate twiddles and the N/2-point
+/// inverse plan.
 class RealFftPlan {
  public:
   /// n must be even and >= 2 (odd lengths fall back to the complex plan
-  /// inside fft_real_into). Cached and thread-safe like FftPlan::get.
+  /// inside fft_real_many / ifft_real_many). Cached and thread-safe like
+  /// FftPlan::get.
   static std::shared_ptr<const RealFftPlan> get(std::size_t n);
 
   std::size_t size() const noexcept { return n_; }
@@ -126,6 +131,15 @@ class RealFftPlan {
   void execute(std::span<const double> in, std::span<cdouble> out,
                FftScratch& scratch) const;
 
+  /// Inverse (1/N-scaled) transform of a conjugate-symmetric spectrum
+  /// into the real signal `out` (size n). spectrum.size() must be n, but
+  /// only bins 0..n/2 are read: the upper half is taken to be their
+  /// conjugate mirror, and only the real parts of the DC and Nyquist
+  /// bins enter. The n/2 packed values x[2m] + i*x[2m+1] stage in
+  /// scratch.b. Allocation-free once scratch is warm.
+  void execute_inverse(std::span<const cdouble> spectrum,
+                       std::span<double> out, FftScratch& scratch) const;
+
   static std::size_t cache_size();
   static void clear_cache();
 
@@ -133,8 +147,9 @@ class RealFftPlan {
   explicit RealFftPlan(std::size_t n);
 
   std::size_t n_ = 0;
-  std::shared_ptr<const FftPlan> half_;  // N/2-point forward plan
-  std::vector<cdouble> twiddles_;        // exp(-2*pi*i*k/N), k in [0, N/2]
+  std::shared_ptr<const FftPlan> half_;      // N/2-point forward plan
+  std::shared_ptr<const FftPlan> half_inv_;  // N/2-point inverse plan
+  std::vector<cdouble> twiddles_;            // exp(-2*pi*i*k/N), k in [0, N/2]
 };
 
 /// Forward DFT of arbitrary length (radix-2 when possible, Bluestein
@@ -154,16 +169,17 @@ std::vector<cdouble> fft_real(std::span<const double> input);
 void fft_real_into(std::span<const double> input, std::vector<cdouble>& out,
                    FftScratch& scratch);
 
-/// Real part of the inverse DFT — for conjugate-symmetric spectra of real
-/// signals (the imaginary residue is numerical noise and is dropped).
+/// Inverse DFT of the conjugate-symmetric spectrum of a real signal.
+/// Even lengths run the half-size c2r transform
+/// (RealFftPlan::execute_inverse), which reads only bins 0..N/2; odd
+/// lengths run the full complex inverse and keep its real part (the
+/// imaginary residue is numerical noise and is dropped).
 std::vector<double> ifft_real(std::span<const cdouble> spectrum);
 
-/// Plan-based ifft_real into caller buffers: `time` holds the complex
-/// inverse transform, `out` its real part (both resized to
-/// spectrum.size()). Allocation-free once warm.
+/// Plan-based ifft_real into a caller buffer (resized to
+/// spectrum.size()); allocation-free once `scratch` and `out` are warm.
 void ifft_real_into(std::span<const cdouble> spectrum,
-                    std::vector<cdouble>& time, std::vector<double>& out,
-                    FftScratch& scratch);
+                    std::vector<double>& out, FftScratch& scratch);
 
 // ---------------------------------------------------------------------------
 // Batched transform sweeps
@@ -190,12 +206,12 @@ struct RealFftJob {
   std::vector<cdouble>* out = nullptr;
 };
 
-/// One real inverse transform: `time` stages the complex inverse and
-/// `out` receives its real part (both resized to spectrum.size()).
-/// `time` may be shared between jobs of one batch (jobs run in order).
+/// One real inverse transform: `out` receives the real signal (resized
+/// to spectrum.size()). For even N only bins 0..N/2 are read and the
+/// N/2 packed values stage in FftScratch::b; odd N stages its N-point
+/// complex inverse there.
 struct RealIfftJob {
   std::span<const cdouble> spectrum;
-  std::vector<cdouble>* time = nullptr;
   std::vector<double>* out = nullptr;
 };
 

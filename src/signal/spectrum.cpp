@@ -120,24 +120,17 @@ std::vector<SpectrumBin> welch_psd(std::span<const double> x,
 double autocorrelation_fundamental(std::span<const double> x,
                                    double sample_rate_hz, double f_lo,
                                    double f_hi) {
+  FftWorkspace ws;
+  return autocorrelation_fundamental(x, sample_rate_hz, f_lo, f_hi, ws);
+}
+
+double autocorrelation_fundamental(std::span<const double> x,
+                                   double sample_rate_hz, double f_lo,
+                                   double f_hi, FftWorkspace& ws) {
   if (sample_rate_hz <= 0.0 || f_lo <= 0.0 || f_hi <= f_lo)
     throw std::invalid_argument("autocorrelation_fundamental: bad band");
   const std::size_t nx = x.size();
   if (nx < 16) return 0.0;
-
-  // Unbiased ACF via FFT (zero-padded to avoid circular wrap).
-  std::vector<cdouble> padded(next_pow2(2 * nx));
-  double mean = 0.0;
-  for (double v : x) mean += v;
-  mean /= static_cast<double>(nx);
-  for (std::size_t i = 0; i < nx; ++i)
-    padded[i] = cdouble(x[i] - mean, 0.0);
-  fft_pow2(padded);
-  for (auto& c : padded) c = cdouble(std::norm(c), 0.0);
-  fft_pow2(padded, /*inverse=*/true);
-
-  const double r0 = padded[0].real();
-  if (r0 <= 0.0) return 0.0;
 
   const auto lag_min = static_cast<std::size_t>(
       std::ceil(sample_rate_hz / f_hi));
@@ -146,13 +139,34 @@ double autocorrelation_fundamental(std::span<const double> x,
   if (lag_max >= nx) lag_max = nx - 1;
   if (lag_min + 2 > lag_max) return 0.0;
 
-  // Normalised, bias-corrected ACF over the admissible lags.
-  std::vector<double> acf(lag_max + 1, 0.0);
-  for (std::size_t lag = lag_min > 1 ? lag_min - 1 : 1; lag <= lag_max;
-       ++lag) {
+  // Unbiased ACF via FFT. Zero-padding to m >= N + lag_max keeps every
+  // lag read below free of circular wrap. The power spectrum |X|^2 is
+  // real and even, so a second FORWARD real transform is its inverse up
+  // to the factor m, which cancels in r[lag] / r[0].
+  const std::size_t m = next_pow2(nx + lag_max);
+  const auto plan = RealFftPlan::get(m);
+  std::vector<double>& sig = ws.signal;
+  std::vector<cdouble>& bins = ws.spectrum;
+  sig.assign(m, 0.0);
+  bins.resize(m);
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= static_cast<double>(nx);
+  for (std::size_t i = 0; i < nx; ++i) sig[i] = x[i] - mean;
+  plan->execute(sig, bins, ws.scratch);
+  for (std::size_t k = 0; k < m; ++k) sig[k] = std::norm(bins[k]);
+  plan->execute(sig, bins, ws.scratch);
+
+  const double r0 = bins[0].real();
+  if (r0 <= 0.0) return 0.0;
+
+  // Normalised, bias-corrected ACF over the admissible lags, staged in
+  // `sig` (its power spectrum is spent).
+  std::vector<double>& acf = sig;
+  for (std::size_t lag = lag_min; lag <= lag_max; ++lag) {
     const double unbias =
         static_cast<double>(nx) / static_cast<double>(nx - lag);
-    acf[lag] = padded[lag].real() / r0 * unbias;
+    acf[lag] = bins[lag].real() / r0 * unbias;
   }
 
   // Collect local maxima in [lag_min, lag_max].
@@ -334,38 +348,38 @@ double peak_search(const std::vector<SpectrumBin>& bins, double f_lo,
 void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
   const std::size_t count = jobs.size();
   if (count == 0) return;
-  for (const BandLimitJob& job : jobs) {
+
+  // High-water staging: nothing here ever shrinks, so a warm workspace
+  // runs any previously-seen batch shape without allocating. Empty
+  // signals ride along: an empty spectrum inverts to an empty output.
+  if (ws.spectra.size() < count) ws.spectra.resize(count);
+  ws.fwd_jobs.clear();
+  ws.mask_jobs.clear();
+  for (std::size_t j = 0; j < count; ++j) {
+    const BandLimitJob& job = jobs[j];
+    ws.fwd_jobs.push_back(RealFftJob{job.x, &ws.spectra[j]});
+    ws.mask_jobs.push_back(BandMaskJob{&ws.spectra[j], job.sample_rate_hz,
+                                       job.f_lo, job.f_hi, job.out});
+  }
+  fft_real_many(ws.fwd_jobs, ws.scratch);
+  bandlimit_inverse_many(ws.mask_jobs, ws);
+}
+
+void bandlimit_inverse_many(std::span<const BandMaskJob> jobs,
+                            FftWorkspace& ws) {
+  for (const BandMaskJob& job : jobs) {
     if (job.sample_rate_hz <= 0.0)
       throw std::invalid_argument("fft filter: sample rate must be positive");
   }
-
-  // High-water staging: nothing here ever shrinks, so a warm workspace
-  // runs any previously-seen batch shape without allocating.
-  if (ws.spectra.size() < count) ws.spectra.resize(count);
-  ws.fwd_jobs.clear();
   ws.inv_jobs.clear();
-
-  // Forward sweep: all transforms of the batch through one cached plan.
-  for (std::size_t j = 0; j < count; ++j) {
-    if (jobs[j].x.empty()) {
-      jobs[j].out->clear();
-      continue;
-    }
-    ws.fwd_jobs.push_back(RealFftJob{jobs[j].x, &ws.spectra[j]});
-  }
-  fft_real_many(ws.fwd_jobs, ws.scratch);
-
-  // Per-job bin zeroing, then the inverse sweep.
-  for (std::size_t j = 0; j < count; ++j) {
-    const BandLimitJob& job = jobs[j];
-    if (job.x.empty()) continue;
-    std::vector<cdouble>& spectrum = ws.spectra[j];
+  for (const BandMaskJob& job : jobs) {
+    std::vector<cdouble>& spectrum = *job.spectrum;
     const std::size_t n = spectrum.size();
     for (std::size_t k = 0; k < n; ++k) {
       const double f = std::abs(bin_frequency(k, n, job.sample_rate_hz));
       if (f < job.f_lo || f > job.f_hi) spectrum[k] = cdouble(0.0, 0.0);
     }
-    ws.inv_jobs.push_back(RealIfftJob{spectrum, &ws.time, job.out});
+    ws.inv_jobs.push_back(RealIfftJob{spectrum, job.out});
   }
   ifft_real_many(ws.inv_jobs, ws.scratch);
 }

@@ -11,22 +11,35 @@
 
 namespace tagbreathe::signal {
 
-/// Reusable buffers for the plan-based spectral filters. One workspace
-/// per thread; after the first call of a given size, repeated filtering
-/// through the same workspace performs no heap allocation (the analysis
-/// engine keeps one per worker). Buffers never shrink (high-water
-/// sizing), so a steady-state batch of any previously seen shape stays
-/// allocation-free.
+/// One spectrum of a batched mask-and-inverse sweep: zero every bin
+/// whose |frequency| lies outside [f_lo, f_hi] (in place), then inverse
+/// transform it into `out` (resized to spectrum->size()).
+struct BandMaskJob {
+  std::vector<cdouble>* spectrum = nullptr;
+  double sample_rate_hz = 0.0;
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  std::vector<double>* out = nullptr;
+};
+
+/// Reusable buffers for the plan-based spectral filters and the ACF.
+/// One workspace per thread; after the first call of a given size,
+/// repeated filtering through the same workspace performs no heap
+/// allocation (the analysis engine keeps one per worker). Buffers never
+/// shrink (high-water sizing), so a steady-state batch of any previously
+/// seen shape stays allocation-free.
 struct FftWorkspace {
   FftScratch scratch;
-  std::vector<cdouble> spectrum;  // forward-transform bins (single calls)
-  std::vector<cdouble> time;      // inverse-transform staging
-  /// Per-job bins for batched filters (fft_bandlimit_many): the whole
+  std::vector<cdouble> spectrum;  // ACF bins (padded power-spectrum round trip)
+  std::vector<double> signal;     // ACF real staging (padded track, then |X|^2)
+  /// Per-job bins for batched filters (fft_bandlimit_many, and
+  /// BreathExtractor::extract_many's shared forward sweep): the whole
   /// batch's forward transforms must be live at once between the
   /// forward and inverse sweeps.
   std::vector<std::vector<cdouble>> spectra;
-  std::vector<RealFftJob> fwd_jobs;   // batched-sweep staging
-  std::vector<RealIfftJob> inv_jobs;  // batched-sweep staging
+  std::vector<RealFftJob> fwd_jobs;    // batched-sweep staging
+  std::vector<BandMaskJob> mask_jobs;  // batched-sweep staging
+  std::vector<RealIfftJob> inv_jobs;   // batched-sweep staging
 };
 
 /// The f_lo used to knock out the DC bin when a low-pass asks for
@@ -101,10 +114,21 @@ std::vector<SpectrumBin> welch_psd(std::span<const double> x,
 /// white and random-walk noise, and resolves the period-multiple
 /// ambiguity by taking the smallest peak lag within 90% of the best.
 /// Searches periods in [1/f_hi, 1/f_lo]; returns 0 when no peak exists.
-/// `x` should be detrended / low-passed to f_hi by the caller.
+/// `x` should be detrended / low-passed to f_hi by the caller. Delegates
+/// to the workspace overload with a throwaway workspace.
 double autocorrelation_fundamental(std::span<const double> x,
                                    double sample_rate_hz, double f_lo,
                                    double f_hi);
+
+/// autocorrelation_fundamental through a caller-owned workspace: the
+/// ACF runs as two forward real transforms of the cached
+/// RealFftPlan(next_pow2(N + L)), L the longest searched lag (at most
+/// N - 1), and stages everything in ws.signal, ws.spectrum and
+/// ws.scratch (ws.spectra and the job arrays are untouched).
+/// Allocation-free once `ws` has seen the size.
+double autocorrelation_fundamental(std::span<const double> x,
+                                   double sample_rate_hz, double f_lo,
+                                   double f_hi, FftWorkspace& ws);
 
 /// Noise-colour-agnostic peak search: ranks bins by their power relative
 /// to a local median background (the smoothed spectrum with the bin's own
@@ -156,11 +180,18 @@ struct BandLimitJob {
 };
 
 /// Batched band-limit filter: one forward sweep over every job (shared
-/// plan, fetched once per size change), per-job bin zeroing, one inverse
-/// sweep. Bit-identical to running fft_lowpass_into / fft_bandpass_into
-/// per job — the single-job helpers delegate here — and allocation-free
-/// once `ws` has seen the batch shape.
+/// plan, fetched once per size change) into ws.spectra, then
+/// bandlimit_inverse_many. Bit-identical to running fft_lowpass_into /
+/// fft_bandpass_into per job — the single-job helpers delegate here —
+/// and allocation-free once `ws` has seen the batch shape.
 void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws);
+
+/// The mask-and-inverse half of fft_bandlimit_many, for callers that
+/// already hold the forward spectra: per-job bin zeroing, then one
+/// inverse sweep (staged in ws.inv_jobs). The same spectrum and band
+/// give bit-identical output to fft_bandlimit_many.
+void bandlimit_inverse_many(std::span<const BandMaskJob> jobs,
+                            FftWorkspace& ws);
 
 /// Goertzel algorithm: power of the single DFT bin nearest `freq_hz`.
 /// O(N) per frequency — cheaper than a full FFT when the pipeline only

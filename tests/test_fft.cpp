@@ -1,6 +1,9 @@
 // Unit + property tests: FFT (radix-2 and Bluestein paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "signal/fft.hpp"
@@ -140,14 +143,53 @@ TEST(Fft, RealSignalSpectrumIsConjugateSymmetric) {
   }
 }
 
+/// O(N^2) reference real inverse DFT (1/N-scaled real part), with the
+/// angle index reduced mod N so large products stay exact.
+std::vector<double> naive_real_idft(std::span<const cdouble> spectrum) {
+  const std::size_t n = spectrum.size();
+  std::vector<cdouble> roots(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double angle =
+        kTwoPi * static_cast<double>(j) / static_cast<double>(n);
+    roots[j] = cdouble(std::cos(angle), std::sin(angle));
+  }
+  std::vector<double> out(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < n; ++k)
+      acc += (spectrum[k] * roots[(k * t) % n]).real();
+    out[t] = acc / static_cast<double>(n);
+  }
+  return out;
+}
+
 TEST(Fft, IfftRealRecoversRealSignal) {
-  common::Rng rng(78);
-  std::vector<double> x(150);
-  for (auto& v : x) v = rng.normal();
-  const auto back = ifft_real(fft_real(x));
-  ASSERT_EQ(back.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(back[i], x[i], 1e-9);
+  // Even sizes take the half-size c2r path (Bluestein and pow2 halves,
+  // down to the trivial 1-point half of n = 2); odd sizes the full
+  // complex inverse.
+  for (const std::size_t n : {2u, 4u, 150u, 151u, 600u, 601u, 2048u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    common::Rng rng(78 + n);
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.normal();
+    std::vector<cdouble> spectrum = fft_real(x);
+    const auto back = ifft_real(spectrum);
+    ASSERT_EQ(back.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
+
+    // Band-masked Hermitian spectrum (the extraction filter's shape:
+    // DC and everything above a quarter of the bins zeroed, Nyquist
+    // included) against the naive real IDFT.
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t fold = std::min(k, n - k);
+      if (fold == 0 || 4 * fold > n) spectrum[k] = cdouble(0.0, 0.0);
+    }
+    const auto filtered = ifft_real(spectrum);
+    const auto reference = naive_real_idft(spectrum);
+    ASSERT_EQ(filtered.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(filtered[i], reference[i], 1e-9) << "i=" << i;
+  }
 }
 
 TEST(Fft, BinFrequencyNegativeHalf) {

@@ -2,13 +2,15 @@
 // override, first-call race under TSan), bit-exact vector-vs-scalar
 // kernel equivalence (butterflies, Bluestein pointwise products, Eq. 3
 // phase deltas with out-of-range lanes), batch-vs-single identity of
-// the fft_many / fft_bandlimit_many / extract_many sweeps, the
+// the fft_many / fft_bandlimit_many / extract_many sweeps (and of
+// extract_many's shared forward sweep against two full filter sweeps), the
 // zero-allocation gate on the warm batched steady state (counting
 // operator-new hook), cache-line alignment of the per-slot scratch
 // arenas, and the batched-vs-unbatched / scalar-vs-vector pipeline
 // event-log byte-identity gates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -28,6 +30,7 @@
 #include "core/pipeline.hpp"
 #include "obs/observability.hpp"
 #include "signal/fft.hpp"
+#include "signal/filters.hpp"
 #include "signal/simd/dispatch.hpp"
 #include "signal/simd/kernels.hpp"
 #include "signal/spectrum.hpp"
@@ -340,12 +343,11 @@ TEST(FftEquivalence, RealTransformsBitIdenticalAcrossLevels) {
     signal::fft_real_into(input, vector_spec, scratch);
     EXPECT_TRUE(spans_bit_equal(vector_spec, scalar_spec)) << "n=" << n;
 
-    std::vector<cdouble> time;
     std::vector<double> scalar_time, vector_time;
     signal::simd::override_level_for_testing(SimdLevel::Scalar);
-    signal::ifft_real_into(scalar_spec, time, scalar_time, scratch);
+    signal::ifft_real_into(scalar_spec, scalar_time, scratch);
     signal::simd::override_level_for_testing(signal::simd::detected_level());
-    signal::ifft_real_into(scalar_spec, time, vector_time, scratch);
+    signal::ifft_real_into(scalar_spec, vector_time, scratch);
     EXPECT_TRUE(spans_bit_equal(vector_time, scalar_time)) << "n=" << n;
   }
 }
@@ -395,19 +397,17 @@ TEST(BatchedTransforms, RealManyMatchesSingleCalls) {
     EXPECT_TRUE(spans_bit_equal(batch_spec[j], single_spec[j]))
         << "fwd job " << j;
 
-  // Inverse sweep: the batch shares one staging buffer, singles each
-  // use their own — outputs must still match bit for bit.
-  std::vector<cdouble> shared_time;
+  // Inverse sweep: the batch shares one scratch, singles each use a
+  // fresh one — outputs must still match bit for bit.
   std::vector<std::vector<double>> batch_time(sizes.size()),
       single_time(sizes.size());
   std::vector<signal::RealIfftJob> inv_jobs;
   for (std::size_t j = 0; j < sizes.size(); ++j)
-    inv_jobs.push_back(
-        signal::RealIfftJob{single_spec[j], &shared_time, &batch_time[j]});
+    inv_jobs.push_back(signal::RealIfftJob{single_spec[j], &batch_time[j]});
   signal::ifft_real_many(inv_jobs, scratch);
   for (std::size_t j = 0; j < sizes.size(); ++j) {
-    std::vector<cdouble> own_time;
-    signal::ifft_real_into(single_spec[j], own_time, single_time[j], scratch);
+    FftScratch own_scratch;
+    signal::ifft_real_into(single_spec[j], single_time[j], own_scratch);
     EXPECT_TRUE(spans_bit_equal(batch_time[j], single_time[j]))
         << "inv job " << j;
   }
@@ -492,6 +492,61 @@ TEST(BatchedExtraction, ExtractManyMatchesSingleExtractBitwise) {
   }
 }
 
+TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
+  // extract_many transforms each track once and filters the bins twice.
+  // Spelled out with two full fft_bandlimit_many sweeps (coarse
+  // low-pass -> ACF -> main band filter) the output must not move a bit.
+  const core::ExtractorConfig config;
+  const core::BreathExtractor extractor(config);
+  constexpr double kRate = 20.0;
+  std::vector<std::vector<signal::TimedSample>> tracks;
+  for (std::size_t j = 0; j < 6; ++j)
+    tracks.push_back(breathing_track(600 + j % 2, kRate,
+                                     0.12 + 0.05 * static_cast<double>(j),
+                                     0xC0FFEE + j));
+  std::vector<core::BreathSignal> batch(tracks.size());
+  std::vector<core::ExtractJob> jobs;
+  for (std::size_t j = 0; j < tracks.size(); ++j)
+    jobs.push_back(core::ExtractJob{tracks[j], kRate, &batch[j]});
+  signal::FftWorkspace ws;
+  core::ExtractScratch scratch;
+  extractor.extract_many(jobs, ws, scratch);
+
+  signal::FftWorkspace ref_ws;
+  const double floor_hz =
+      std::max(config.low_cut_hz, config.peak_search_floor_hz);
+  for (std::size_t j = 0; j < tracks.size(); ++j) {
+    std::vector<double> values;
+    for (const signal::TimedSample& s : tracks[j]) values.push_back(s.value);
+    signal::detrend_linear(values);
+    std::vector<double> coarse;
+    const signal::BandLimitJob coarse_job{values, kRate, signal::kDcRejectHz,
+                                          config.cutoff_hz, &coarse};
+    signal::fft_bandlimit_many({&coarse_job, 1}, ref_ws);
+    const double f0 = signal::autocorrelation_fundamental(
+        coarse, kRate, floor_hz, config.cutoff_hz);
+    ASSERT_GT(f0, 0.0) << "job " << j;
+    double lo = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
+    double hi = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);
+    if (hi <= lo) {
+      lo = config.low_cut_hz;
+      hi = config.cutoff_hz;
+    }
+    // The coarse path reaches the output only through the band edges,
+    // so pin those too (the scratch keeps each job's band).
+    EXPECT_TRUE(bits_equal(scratch.band_lo[j], lo)) << "job " << j;
+    EXPECT_TRUE(bits_equal(scratch.band_hi[j], hi)) << "job " << j;
+    std::vector<double> filtered;
+    const signal::BandLimitJob main_job{values, kRate, lo, hi, &filtered};
+    signal::fft_bandlimit_many({&main_job, 1}, ref_ws);
+
+    ASSERT_EQ(batch[j].samples.size(), filtered.size()) << "job " << j;
+    for (std::size_t i = 0; i < filtered.size(); ++i)
+      ASSERT_TRUE(bits_equal(batch[j].samples[i].value, filtered[i]))
+          << "job " << j << " sample " << i;
+  }
+}
+
 // --- zero-allocation gate on the batched steady state -----------------------
 
 TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
@@ -514,12 +569,9 @@ TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
 }
 
 TEST(BatchedZeroAlloc, WarmExtractManySweepAllocatesNothing) {
-  // adaptive_band off: the ACF peak search allocates by design (it is
-  // not on the batched-transform contract); the filter sweep itself must
-  // run clean.
-  core::ExtractorConfig config;
-  config.adaptive_band = false;
-  const core::BreathExtractor extractor(config);
+  // Default config: the adaptive band's coarse low-pass and ACF peak
+  // search run through the same warm workspace as the filter sweep.
+  const core::BreathExtractor extractor;
   constexpr double kRate = 20.0;
   constexpr std::size_t kJobs = 12;
   std::vector<std::vector<signal::TimedSample>> tracks;

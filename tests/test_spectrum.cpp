@@ -2,6 +2,11 @@
 // ACF fundamental, FFT band filters, Goertzel).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "signal/filters.hpp"
@@ -162,6 +167,77 @@ TEST(AcfFundamental, ReturnsZeroOnPureNoiseSometimesButNeverThrows) {
   const double f = autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
   EXPECT_GE(f, 0.0);
   EXPECT_LE(f, 0.7);
+}
+
+/// Reference fundamental: the same estimator as
+/// autocorrelation_fundamental (normalised unbiased ACF, smallest peak
+/// lag within 90% of the best, parabolic refinement), but with the ACF
+/// summed directly in the time domain, O(N*L).
+double direct_acf_fundamental(std::span<const double> x, double fs,
+                              double f_lo, double f_hi) {
+  const std::size_t nx = x.size();
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= static_cast<double>(nx);
+  const auto lag_min = static_cast<std::size_t>(std::ceil(fs / f_hi));
+  const auto lag_max = std::min(
+      static_cast<std::size_t>(std::floor(fs / f_lo)), nx - 1);
+  const auto raw = [&](std::size_t lag) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i + lag < nx; ++i)
+      acc += (x[i] - mean) * (x[i + lag] - mean);
+    return acc;
+  };
+  const double r0 = raw(0);
+  std::vector<double> acf(lag_max + 1, 0.0);
+  for (std::size_t lag = lag_min; lag <= lag_max; ++lag)
+    acf[lag] = raw(lag) / r0 * static_cast<double>(nx) /
+               static_cast<double>(nx - lag);
+  const auto is_peak = [&](std::size_t lag) {
+    return acf[lag] >= acf[lag - 1] && acf[lag] >= acf[lag + 1];
+  };
+  double best = -2.0;
+  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag)
+    if (is_peak(lag)) best = std::max(best, acf[lag]);
+  if (best <= 0.0) return 0.0;
+  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag) {
+    if (!is_peak(lag) || acf[lag] < 0.9 * best) continue;
+    const double p0 = acf[lag - 1], p1 = acf[lag], p2 = acf[lag + 1];
+    const double denom = p0 - 2.0 * p1 + p2;
+    const double delta = std::abs(denom) > 1e-30
+                             ? std::clamp(0.5 * (p0 - p2) / denom, -0.5, 0.5)
+                             : 0.0;
+    return fs / (static_cast<double>(lag) + delta);
+  }
+  return 0.0;
+}
+
+TEST(AcfFundamental, MatchesDirectTimeDomainReference) {
+  // Seeded breathing tracks (fundamental + asymmetric 2nd harmonic +
+  // white noise + drift) at 20 Hz. The planned FFT round trip must pick
+  // the same peak lag as the direct sum and agree to 1e-9 relative.
+  // n = 1000 is a size where next_pow2(N) < N + 266 lags, so a pad too
+  // short to avoid circular wrap shows. One workspace across sizes: it
+  // re-sizes between plans.
+  FftWorkspace ws;
+  std::uint64_t seed = 0x5eed;
+  for (const std::size_t n : {600u, 601u, 1000u, 2400u}) {
+    for (const double f_true : {0.12, 0.2, 0.31, 0.45}) {
+      auto x = sine(f_true, 20.0, n);
+      const auto h = sine(2.0 * f_true, 20.0, n, 0.35, 0.9);
+      for (std::size_t i = 0; i < n; ++i)
+        x[i] += h[i] + 0.002 * static_cast<double>(i);
+      add_noise(x, 0.25, ++seed);
+      const double reference = direct_acf_fundamental(x, 20.0, 0.075, 0.67);
+      const double planned =
+          autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws);
+      ASSERT_GT(reference, 0.0) << "n=" << n << " f=" << f_true;
+      EXPECT_NEAR(planned, reference, 1e-9 * reference)
+          << "n=" << n << " f=" << f_true;
+      // The workspace-free overload is the same computation.
+      EXPECT_EQ(autocorrelation_fundamental(x, 20.0, 0.075, 0.67), planned);
+    }
+  }
 }
 
 TEST(AcfFundamental, ErrorsAndEdgeCases) {
