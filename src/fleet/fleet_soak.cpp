@@ -6,6 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
+
 namespace tagbreathe::fleet {
 
 namespace {
@@ -18,19 +20,6 @@ void add_violation(std::vector<std::string>& violations, std::string line) {
   } else if (violations.size() == kMaxViolations) {
     violations.push_back("... further violations suppressed");
   }
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a_line(std::uint64_t hash, const std::string& line) {
-  for (const char c : line) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= kFnvPrime;
-  }
-  hash ^= static_cast<std::uint8_t>('\n');
-  hash *= kFnvPrime;
-  return hash;
 }
 
 }  // namespace
@@ -62,7 +51,7 @@ void FleetSoakConfig::validate() const {
 FleetSoakReport run_fleet_soak(const FleetSoakConfig& config) {
   config.validate();
   FleetSoakReport report;
-  report.event_log_hash = kFnvOffset;
+  report.event_log_hash = common::kFnvOffset;
 
   std::vector<std::uint64_t> roster;
   roster.reserve(config.n_users);
@@ -94,7 +83,7 @@ FleetSoakReport run_fleet_soak(const FleetSoakConfig& config) {
         event.user_id <= config.n_users)
       last_rate[event.user_id] = event.time_s;
     const std::string line = core::format_soak_event(event);
-    report.event_log_hash = fnv1a_line(report.event_log_hash, line);
+    report.event_log_hash = common::fnv1a_line(report.event_log_hash, line);
     if (config.record_event_log) report.event_log.push_back(line);
     if (config.event_tap) config.event_tap(fe);
   });

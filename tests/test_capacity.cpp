@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/fnv.hpp"
 #include "common/slab_arena.hpp"
 #include "core/chaos.hpp"
 #include "core/demux.hpp"
@@ -52,15 +53,8 @@ core::TagRead make_read(std::uint64_t user, std::uint32_t tag,
 // FNV-1a over formatted event lines, the same fold fleet_soak uses for
 // FleetSoakReport::event_log_hash.
 std::uint64_t fnv1a_lines(const std::vector<std::string>& lines) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const std::string& line : lines) {
-    for (const char c : line) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-    hash ^= static_cast<unsigned char>('\n');
-    hash *= 1099511628211ull;
-  }
+  std::uint64_t hash = common::kFnvOffset;
+  for (const std::string& line : lines) hash = common::fnv1a_line(hash, line);
   return hash;
 }
 
