@@ -53,7 +53,6 @@ void StreamDemux::add(const TagRead& read) {
     const auto identity = registry_->lookup(read.epc);
     if (!identity) {
       ++ignored_;
-      if (obs_.accepted != nullptr) obs_.ignored->add();
       return;
     }
     user = identity->user_id;
@@ -64,14 +63,12 @@ void StreamDemux::add(const TagRead& read) {
   }
   if (!is_monitored(user)) {
     ++ignored_;
-    if (obs_.accepted != nullptr) obs_.ignored->add();
     return;
   }
   std::vector<TagRead>& stream = stream_for(user, tag, read.antenna_id);
   if (max_reads_per_stream_ > 0 && stream.size() >= max_reads_per_stream_) {
     stream.erase(stream.begin());
     ++shed_;
-    if (obs_.accepted != nullptr) obs_.shed->add();
   }
   const bool was_empty = stream.empty();
   stream.push_back(read);
@@ -79,10 +76,8 @@ void StreamDemux::add(const TagRead& read) {
   UserEntry& entry = users_[user];
   ++entry.reads_seen;
   if (was_empty && entry.non_empty++ == 0) user_order_dirty_ = true;
-  if (obs_.accepted != nullptr) {
-    obs_.accepted->add();
-    obs_.streams->set(static_cast<double>(arena_.live()));
-  }
+  if (streams_gauge_ != nullptr)
+    streams_gauge_->set(static_cast<double>(arena_.live()));
 }
 
 std::uint64_t StreamDemux::reads_seen(std::uint64_t user_id) const noexcept {
@@ -189,12 +184,8 @@ void StreamDemux::import_state(DemuxState state) {
   accepted_ = state.accepted;
   ignored_ = state.ignored;
   shed_ = state.shed;
-  if (obs_.accepted != nullptr) {
-    obs_.accepted->set(accepted_);
-    obs_.ignored->set(ignored_);
-    obs_.shed->set(shed_);
-    obs_.streams->set(static_cast<double>(arena_.live()));
-  }
+  if (streams_gauge_ != nullptr)
+    streams_gauge_->set(static_cast<double>(arena_.live()));
 }
 
 DemuxState StreamDemux::export_user(std::uint64_t user_id) const {
@@ -225,15 +216,14 @@ std::size_t StreamDemux::import_user(const DemuxState& state) {
       stream.erase(stream.begin(),
                    stream.begin() + static_cast<std::ptrdiff_t>(excess));
       shed_ += excess;
-      if (obs_.accepted != nullptr) obs_.shed->add(excess);
     }
     imported += s.reads.size();
     UserEntry& entry = users_[s.key.user_id];
     entry.reads_seen += s.reads.size();
     recount_user(entry);
   }
-  if (obs_.accepted != nullptr)
-    obs_.streams->set(static_cast<double>(arena_.live()));
+  if (streams_gauge_ != nullptr)
+    streams_gauge_->set(static_cast<double>(arena_.live()));
   return imported;
 }
 
@@ -245,12 +235,7 @@ void StreamDemux::clear() noexcept {
   accepted_ = 0;
   ignored_ = 0;
   shed_ = 0;
-  if (obs_.accepted != nullptr) {
-    obs_.accepted->set(0);
-    obs_.ignored->set(0);
-    obs_.shed->set(0);
-    obs_.streams->set(0.0);
-  }
+  if (streams_gauge_ != nullptr) streams_gauge_->set(0.0);
 }
 
 std::size_t StreamDemux::drop_user(std::uint64_t user_id) {
@@ -298,16 +283,13 @@ std::size_t StreamDemux::footprint_bytes() const noexcept {
 
 void StreamDemux::bind_observability(obs::Observability& hub) {
   obs::MetricsRegistry& m = hub.metrics();
-  obs_.ignored = &m.counter("demux_ignored_total");
-  obs_.shed = &m.counter("demux_shed_total");
-  obs_.streams = &m.gauge("demux_streams");
-  obs_.accepted = &m.counter("demux_accepted_total");
-  // Seed the mirrors from current state so a late bind (or a bind after
-  // crash-recovery import_state) doesn't zero the exported series.
-  obs_.accepted->set(accepted_);
-  obs_.ignored->set(ignored_);
-  obs_.shed->set(shed_);
-  obs_.streams->set(static_cast<double>(arena_.live()));
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    sink.emit("demux_accepted_total", accepted_);
+    sink.emit("demux_ignored_total", ignored_);
+    sink.emit("demux_shed_total", shed_);
+  });
+  streams_gauge_ = &m.gauge("demux_streams");
+  streams_gauge_->set(static_cast<double>(arena_.live()));
 }
 
 }  // namespace tagbreathe::core

@@ -32,11 +32,10 @@
 #include "common/slab_arena.hpp"
 #include "core/tag_registry.hpp"
 #include "core/types.hpp"
+#include "obs/registry.hpp"
 
 namespace tagbreathe::obs {
 class Observability;
-class Counter;
-class Gauge;
 }  // namespace tagbreathe::obs
 
 namespace tagbreathe::core {
@@ -163,9 +162,9 @@ class StreamDemux {
   /// Returns the number of reads released.
   std::size_t drop_user(std::uint64_t user_id);
 
-  /// Registers demux instruments on `hub` and mirrors future counter
-  /// changes onto them. Registration may allocate; add() stays
-  /// allocation-free afterwards.
+  /// Exports the accepted/ignored/shed counts at scrape time and
+  /// registers the live-streams gauge. Registration may allocate; add()
+  /// stays allocation-free afterwards.
   void bind_observability(obs::Observability& hub);
 
   // --- capacity accounting (ISSUE 10) --------------------------------------
@@ -222,13 +221,8 @@ class StreamDemux {
   std::size_t shed_ = 0;
   std::size_t max_reads_per_stream_ = 0;
 
-  // Null until bind_observability; `accepted` is the is-bound sentinel.
-  struct Instruments {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* ignored = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Gauge* streams = nullptr;
-  } obs_;
+  obs::Gauge* streams_gauge_ = nullptr;  // null until bind_observability
+  obs::CounterCollector collector_;      // last: retires before fields go
 };
 
 }  // namespace tagbreathe::core

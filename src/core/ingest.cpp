@@ -66,7 +66,6 @@ IngestQueue::IngestQueue(std::size_t capacity, BackpressurePolicy policy)
 EnqueueResult IngestQueue::push_locked(const TagRead& read, double now_s) {
   if (closed_) {
     ++counters_.closed_rejects;
-    if (obs_.enqueued != nullptr) obs_.closed_rejects->add();
     return EnqueueResult::Closed;
   }
   EnqueueResult result = EnqueueResult::Enqueued;
@@ -85,10 +84,6 @@ EnqueueResult IngestQueue::push_locked(const TagRead& read, double now_s) {
           slot.enqueued_at = now_s;
           ++counters_.coalesced;
           ++counters_.enqueued;
-          if (obs_.enqueued != nullptr) {
-            obs_.coalesced->add();
-            obs_.enqueued->add();
-          }
           return EnqueueResult::Coalesced;
         }
       }
@@ -96,16 +91,13 @@ EnqueueResult IngestQueue::push_locked(const TagRead& read, double now_s) {
     // DropOldest, or Coalesce with no same-tag entry queued.
     buffer_.pop_front();
     ++counters_.shed_oldest;
-    if (obs_.enqueued != nullptr) obs_.shed->add();
     result = EnqueueResult::DroppedOldest;
   }
   buffer_.push(Slot{read, now_s});
   ++counters_.enqueued;
   counters_.peak_depth = std::max(counters_.peak_depth, buffer_.size());
-  if (obs_.enqueued != nullptr) {
-    obs_.enqueued->add();
-    obs_.depth->set(static_cast<double>(buffer_.size()));
-  }
+  if (depth_gauge_ != nullptr)
+    depth_gauge_->set(static_cast<double>(buffer_.size()));
   return result;
 }
 
@@ -113,7 +105,6 @@ EnqueueResult IngestQueue::push(const TagRead& read, double now_s) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (policy_ == BackpressurePolicy::Block && buffer_.full() && !closed_) {
     ++counters_.blocked_pushes;
-    if (obs_.enqueued != nullptr) obs_.blocked->add();
     room_.wait(lock, [this] { return !buffer_.full() || closed_; });
   }
   return push_locked(read, now_s);
@@ -123,7 +114,6 @@ EnqueueResult IngestQueue::try_push(const TagRead& read, double now_s) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (policy_ == BackpressurePolicy::Block && buffer_.full() && !closed_) {
     ++counters_.would_block;
-    if (obs_.enqueued != nullptr) obs_.would_block->add();
     return EnqueueResult::WouldBlock;
   }
   return push_locked(read, now_s);
@@ -137,14 +127,11 @@ std::size_t IngestQueue::drain(std::vector<TagRead>& out, double now_s) {
     Slot slot = buffer_.pop_front();
     const double delay_s = std::max(0.0, now_s - slot.enqueued_at);
     counters_.queue_delay.record(delay_s);
-    if (obs_.enqueued != nullptr) obs_.delay->observe(delay_s);
+    if (delay_histogram_ != nullptr) delay_histogram_->observe(delay_s);
     out.push_back(std::move(slot.read));
   }
   counters_.drained += n;
-  if (obs_.enqueued != nullptr) {
-    obs_.drained->add(n);
-    obs_.depth->set(0.0);
-  }
+  if (depth_gauge_ != nullptr) depth_gauge_->set(0.0);
   if (n > 0) room_.notify_all();
   return n;
 }
@@ -171,19 +158,23 @@ IngestQueueCounters IngestQueue::counters() const {
 }
 
 void IngestQueue::bind_observability(obs::Observability& hub) {
-  std::lock_guard<std::mutex> lock(mutex_);
   obs::MetricsRegistry& m = hub.metrics();
-  // `enqueued` doubles as the is-bound flag, so it is assigned last.
-  obs_.shed = &m.counter("ingest_queue_shed_total");
-  obs_.coalesced = &m.counter("ingest_queue_coalesced_total");
-  obs_.would_block = &m.counter("ingest_queue_would_block_total");
-  obs_.blocked = &m.counter("ingest_queue_blocked_pushes_total");
-  obs_.closed_rejects = &m.counter("ingest_queue_closed_rejects_total");
-  obs_.drained = &m.counter("ingest_queue_drained_total");
-  obs_.depth = &m.gauge("ingest_queue_depth");
-  obs_.delay =
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    const IngestQueueCounters c = counters();
+    sink.emit("ingest_queue_enqueued_total", c.enqueued);
+    sink.emit("ingest_queue_shed_total", c.shed_oldest);
+    sink.emit("ingest_queue_coalesced_total", c.coalesced);
+    sink.emit("ingest_queue_would_block_total", c.would_block);
+    sink.emit("ingest_queue_blocked_pushes_total", c.blocked_pushes);
+    sink.emit("ingest_queue_closed_rejects_total", c.closed_rejects);
+    sink.emit("ingest_queue_drained_total", c.drained);
+  });
+  // Locked only after collector_.bind: rebinding to another hub
+  // retires the old collector, whose callback takes mutex_.
+  std::lock_guard<std::mutex> lock(mutex_);
+  depth_gauge_ = &m.gauge("ingest_queue_depth");
+  delay_histogram_ =
       &m.histogram("ingest_queue_delay_seconds", obs::default_latency_bounds());
-  obs_.enqueued = &m.counter("ingest_queue_enqueued_total");
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +190,6 @@ ReadValidator::ReadValidator(IngestConfig config)
 ReadValidator::Verdict ReadValidator::quarantine(QuarantineReason reason) {
   ++counters_.quarantined_total;
   ++counters_.quarantined[static_cast<std::size_t>(reason)];
-  if (obs_.admitted != nullptr)
-    obs_.quarantined[static_cast<std::size_t>(reason)]->add();
   return Verdict{false, false, reason};
 }
 
@@ -222,7 +211,6 @@ void ReadValidator::touch_user(std::uint64_t user_id) {
   });
   pending_evictions_.push_back(victim);
   ++counters_.users_evicted;
-  if (obs_.admitted != nullptr) obs_.users_evicted->add();
 }
 
 std::vector<std::uint64_t> ReadValidator::take_evicted_users() {
@@ -233,17 +221,19 @@ std::vector<std::uint64_t> ReadValidator::take_evicted_users() {
 
 void ReadValidator::bind_observability(obs::Observability& hub) {
   obs::MetricsRegistry& m = hub.metrics();
-  // `admitted` doubles as the is-bound flag, so it is assigned last.
-  obs_.repaired = &m.counter("ingest_repaired_timestamps_total");
-  for (std::size_t i = 0; i < kQuarantineReasonCount; ++i) {
-    obs_.quarantined[i] =
-        &m.counter("ingest_quarantined_total", "reason",
-                   quarantine_reason_name(static_cast<QuarantineReason>(i)));
-  }
-  obs_.users_evicted = &m.counter("ingest_users_evicted_total");
-  obs_.tracked_users = &m.gauge("ingest_tracked_users");
-  obs_.tracked_users->set(static_cast<double>(lru_index_.size()));
-  obs_.admitted = &m.counter("ingest_admitted_total");
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    sink.emit("ingest_admitted_total", counters_.admitted);
+    sink.emit("ingest_repaired_timestamps_total",
+              counters_.repaired_timestamps);
+    for (std::size_t i = 0; i < kQuarantineReasonCount; ++i) {
+      sink.emit("ingest_quarantined_total", "reason",
+                quarantine_reason_name(static_cast<QuarantineReason>(i)),
+                counters_.quarantined[i]);
+    }
+    sink.emit("ingest_users_evicted_total", counters_.users_evicted);
+  });
+  tracked_gauge_ = &m.gauge("ingest_tracked_users");
+  tracked_gauge_->set(static_cast<double>(lru_index_.size()));
 }
 
 ReadValidator::Verdict ReadValidator::admit(TagRead& read) {
@@ -283,11 +273,8 @@ ReadValidator::Verdict ReadValidator::admit(TagRead& read) {
   touch_user(user);
   ++counters_.admitted;
   if (repaired) ++counters_.repaired_timestamps;
-  if (obs_.admitted != nullptr) {
-    obs_.admitted->add();
-    if (repaired) obs_.repaired->add();
-    obs_.tracked_users->set(static_cast<double>(lru_index_.size()));
-  }
+  if (tracked_gauge_ != nullptr)
+    tracked_gauge_->set(static_cast<double>(lru_index_.size()));
   return Verdict{true, repaired, QuarantineReason::MalformedEpc};
 }
 

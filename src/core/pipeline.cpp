@@ -66,10 +66,12 @@ void RealtimePipeline::bind_observability(obs::Observability& hub) {
   monitor_.bind_observability(hub);
   demux_.bind_observability(hub);
   obs::MetricsRegistry& m = hub.metrics();
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    sink.emit("pipeline_analyses_total", analyses_run_);
+    sink.emit("pipeline_analyses_skipped_total", analyses_skipped_);
+    sink.emit("pipeline_users_evicted_total", users_evicted_);
+  });
   obs_.updates = &m.counter("pipeline_updates_total");
-  obs_.analyses = &m.counter("pipeline_analyses_total");
-  obs_.skipped = &m.counter("pipeline_analyses_skipped_total");
-  obs_.evicted = &m.counter("pipeline_users_evicted_total");
   for (std::size_t i = 0; i < std::size(obs_.events); ++i) {
     obs_.events[i] =
         &m.counter("pipeline_events_total", "kind",
@@ -96,10 +98,6 @@ void RealtimePipeline::bind_observability(obs::Observability& hub) {
   // the first kernel call.
   m.gauge("dsp_simd_level")
       .set(static_cast<double>(signal::simd::active_level_value()));
-  // Seed the mirrored series so a mid-run bind exports current truth.
-  obs_.analyses->set(analyses_run_);
-  obs_.skipped->set(analyses_skipped_);
-  obs_.evicted->set(users_evicted_);
   obs_.tracked->set(static_cast<double>(user_state_.size()));
   obs_.hub = &hub;
 }
@@ -153,7 +151,6 @@ void RealtimePipeline::push(const TagRead& read) {
         });
     forget_user(victim_id);
     ++users_evicted_;
-    if (obs_.hub != nullptr) obs_.evicted->set(users_evicted_);
   }
   demux_.add(read);
   auto& state = user_state_[user];
@@ -251,8 +248,6 @@ void RealtimePipeline::update(double time_s) {
   obs_.update_seconds->observe(obs_.hub->now() - mark);
   const std::size_t fanned_out = analyses_run_ - analyses_before;
   obs_.fanout->observe(static_cast<double>(fanned_out));
-  obs_.analyses->set(analyses_run_);
-  obs_.skipped->set(analyses_skipped_);
   obs_.tracked->set(static_cast<double>(user_state_.size()));
   const std::size_t tracked = user_state_.size();
   obs_.bytes_per_user->set(

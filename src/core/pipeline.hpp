@@ -279,14 +279,11 @@ class RealtimePipeline {
   std::size_t analyses_skipped_ = 0;
 
   // Null until bind_observability; `hub` is the is-bound sentinel. The
-  // analyses/skipped/evicted counters mirror the size_t fields above
-  // (still the source of truth) via Counter::set at tick cadence.
+  // analyses/skipped/evicted counts are the size_t fields above, read
+  // by collector_ at scrape time.
   struct Instruments {
     obs::Observability* hub = nullptr;
     obs::Counter* updates = nullptr;
-    obs::Counter* analyses = nullptr;
-    obs::Counter* skipped = nullptr;
-    obs::Counter* evicted = nullptr;
     obs::Counter* events[4] = {};  // indexed by PipelineEventKind
     obs::Gauge* tracked = nullptr;
     obs::Histogram* update_seconds = nullptr;
@@ -296,6 +293,7 @@ class RealtimePipeline {
     obs::Histogram* probe_length = nullptr;
     std::uint16_t trace_stage = 0;
   } obs_;
+  obs::CounterCollector collector_;  // last: retires before fields go
 };
 
 }  // namespace tagbreathe::core

@@ -125,13 +125,11 @@ std::size_t DurableMonitor::pump(double now_s) {
     checkpoint();
     next_snapshot_s_ = now_s + config_.snapshot_period_s;
   }
-  publish_counters();
   return admitted;
 }
 
 void DurableMonitor::flush() {
   journal_->commit();
-  publish_counters();
 }
 
 void DurableMonitor::checkpoint() {
@@ -145,7 +143,6 @@ void DurableMonitor::checkpoint() {
   data.validator = frontend_.validator().export_state();
   snapshot_->write(data);
   journal_->prune(data.last_journal_seq);
-  publish_counters();
 }
 
 DurabilityCounters DurableMonitor::counters() const {
@@ -155,52 +152,37 @@ DurabilityCounters DurableMonitor::counters() const {
   return merged;
 }
 
-void DurableMonitor::publish_counters() {
-  if (obs_.records_appended == nullptr) return;
-  const DurabilityCounters c = counters();
-  obs_.records_appended->set(c.journal_records_appended);
-  obs_.commits->set(c.journal_commits);
-  obs_.bytes_written->set(c.journal_bytes_written);
-  obs_.segments_created->set(c.journal_segments_created);
-  obs_.segments_pruned->set(c.journal_segments_pruned);
-  obs_.replay_records->set(c.replay_records);
-  obs_.replay_quarantined->set(c.replay_quarantined);
-  obs_.records_corrupt->set(c.journal_records_corrupt);
-  obs_.truncated_tails->set(c.journal_truncated_tails);
-  obs_.segments_scanned->set(c.journal_segments_scanned);
-  obs_.segments_rejected->set(c.journal_segments_rejected);
-  obs_.snapshots_written->set(c.snapshots_written);
-  obs_.snapshot_bytes->set(c.snapshot_bytes_written);
-  obs_.snapshots_pruned->set(c.snapshots_pruned);
-  obs_.snapshots_loaded->set(c.snapshots_loaded);
-  obs_.snapshots_rejected->set(c.snapshots_rejected);
-}
-
 void DurableMonitor::bind_observability(obs::Observability& hub) {
   pipeline_.bind_observability(hub);
   frontend_.bind_observability(hub);
-  obs::MetricsRegistry& m = hub.metrics();
-  obs_.commits = &m.counter("durability_journal_commits_total");
-  obs_.bytes_written = &m.counter("durability_journal_bytes_written_total");
-  obs_.segments_created =
-      &m.counter("durability_journal_segments_created_total");
-  obs_.segments_pruned = &m.counter("durability_journal_segments_pruned_total");
-  obs_.replay_records = &m.counter("durability_replay_records_total");
-  obs_.replay_quarantined = &m.counter("durability_replay_quarantined_total");
-  obs_.records_corrupt = &m.counter("durability_journal_records_corrupt_total");
-  obs_.truncated_tails = &m.counter("durability_journal_truncated_tails_total");
-  obs_.segments_scanned =
-      &m.counter("durability_journal_segments_scanned_total");
-  obs_.segments_rejected =
-      &m.counter("durability_journal_segments_rejected_total");
-  obs_.snapshots_written = &m.counter("durability_snapshots_written_total");
-  obs_.snapshot_bytes = &m.counter("durability_snapshot_bytes_written_total");
-  obs_.snapshots_pruned = &m.counter("durability_snapshots_pruned_total");
-  obs_.snapshots_loaded = &m.counter("durability_snapshots_loaded_total");
-  obs_.snapshots_rejected = &m.counter("durability_snapshots_rejected_total");
-  obs_.records_appended =
-      &m.counter("durability_journal_records_appended_total");
-  publish_counters();
+  collector_.bind(hub.metrics(), [this](obs::CounterSink& sink) {
+    const DurabilityCounters c = counters();
+    sink.emit("durability_journal_records_appended_total",
+              c.journal_records_appended);
+    sink.emit("durability_journal_commits_total", c.journal_commits);
+    sink.emit("durability_journal_bytes_written_total",
+              c.journal_bytes_written);
+    sink.emit("durability_journal_segments_created_total",
+              c.journal_segments_created);
+    sink.emit("durability_journal_segments_pruned_total",
+              c.journal_segments_pruned);
+    sink.emit("durability_replay_records_total", c.replay_records);
+    sink.emit("durability_replay_quarantined_total", c.replay_quarantined);
+    sink.emit("durability_journal_records_corrupt_total",
+              c.journal_records_corrupt);
+    sink.emit("durability_journal_truncated_tails_total",
+              c.journal_truncated_tails);
+    sink.emit("durability_journal_segments_scanned_total",
+              c.journal_segments_scanned);
+    sink.emit("durability_journal_segments_rejected_total",
+              c.journal_segments_rejected);
+    sink.emit("durability_snapshots_written_total", c.snapshots_written);
+    sink.emit("durability_snapshot_bytes_written_total",
+              c.snapshot_bytes_written);
+    sink.emit("durability_snapshots_pruned_total", c.snapshots_pruned);
+    sink.emit("durability_snapshots_loaded_total", c.snapshots_loaded);
+    sink.emit("durability_snapshots_rejected_total", c.snapshots_rejected);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -118,15 +118,12 @@ class DurableMonitor {
   /// Journal + snapshot + recovery counters, merged.
   DurabilityCounters counters() const;
 
-  /// Registers durability_* counters on `hub` and forwards the bind to
-  /// the wrapped pipeline and front-end. The DurabilityCounters structs
-  /// stay the source of truth (counters() is unchanged); the registry
-  /// mirrors them via Counter::set at every pump/flush/checkpoint.
+  /// Exports counters() as durability_* series at scrape time and
+  /// forwards the bind to the wrapped pipeline and front-end.
   void bind_observability(obs::Observability& hub);
 
  private:
   void replay_journal(std::uint64_t after_seq, const DurabilityHooks* hooks);
-  void publish_counters();
 
   DurabilityConfig config_;
   RealtimePipeline pipeline_;
@@ -138,26 +135,7 @@ class DurableMonitor {
   double next_snapshot_s_;
   bool recovering_ = false;
 
-  // Null until bind_observability; `records_appended` is the sentinel.
-  // One mirror per DurabilityCounters field, same order.
-  struct Instruments {
-    obs::Counter* records_appended = nullptr;
-    obs::Counter* commits = nullptr;
-    obs::Counter* bytes_written = nullptr;
-    obs::Counter* segments_created = nullptr;
-    obs::Counter* segments_pruned = nullptr;
-    obs::Counter* replay_records = nullptr;
-    obs::Counter* replay_quarantined = nullptr;
-    obs::Counter* records_corrupt = nullptr;
-    obs::Counter* truncated_tails = nullptr;
-    obs::Counter* segments_scanned = nullptr;
-    obs::Counter* segments_rejected = nullptr;
-    obs::Counter* snapshots_written = nullptr;
-    obs::Counter* snapshot_bytes = nullptr;
-    obs::Counter* snapshots_pruned = nullptr;
-    obs::Counter* snapshots_loaded = nullptr;
-    obs::Counter* snapshots_rejected = nullptr;
-  } obs_;
+  obs::CounterCollector collector_;  // last: retires before fields go
 };
 
 // ---------------------------------------------------------------------------

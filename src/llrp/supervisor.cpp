@@ -148,16 +148,8 @@ SessionProbe SessionSupervisor::probe(double now_s) const noexcept {
   return p;
 }
 
-void SessionSupervisor::publish_health() {
+void SessionSupervisor::publish_gauges() {
   if (obs_.hub == nullptr) return;
-  obs_.reconnects->set(health_.reconnects);
-  obs_.reconnect_failures->set(health_.reconnect_failures);
-  obs_.watchdog_fires->set(health_.watchdog_fires);
-  obs_.handshake_failures->set(health_.handshake_failures);
-  obs_.handshake_retransmits->set(health_.handshake_retransmits);
-  obs_.rearms->set(health_.rearm_count);
-  obs_.keepalives->set(health_.keepalives_sent);
-  obs_.state_changes->set(health_.state_changes);
   obs_.session_state->set(static_cast<double>(state_));
   for (std::size_t i = 0; i < kSessionStateCount; ++i)
     obs_.time_in_state[i]->set(health_.time_in_state_s[i]);
@@ -165,14 +157,17 @@ void SessionSupervisor::publish_health() {
 
 void SessionSupervisor::bind_observability(obs::Observability& hub) {
   obs::MetricsRegistry& m = hub.metrics();
-  obs_.reconnects = &m.counter("llrp_reconnects_total");
-  obs_.reconnect_failures = &m.counter("llrp_reconnect_failures_total");
-  obs_.watchdog_fires = &m.counter("llrp_watchdog_fires_total");
-  obs_.handshake_failures = &m.counter("llrp_handshake_failures_total");
-  obs_.handshake_retransmits = &m.counter("llrp_handshake_retransmits_total");
-  obs_.rearms = &m.counter("llrp_rearms_total");
-  obs_.keepalives = &m.counter("llrp_keepalives_sent_total");
-  obs_.state_changes = &m.counter("llrp_state_changes_total");
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    sink.emit("llrp_reconnects_total", health_.reconnects);
+    sink.emit("llrp_reconnect_failures_total", health_.reconnect_failures);
+    sink.emit("llrp_watchdog_fires_total", health_.watchdog_fires);
+    sink.emit("llrp_handshake_failures_total", health_.handshake_failures);
+    sink.emit("llrp_handshake_retransmits_total",
+              health_.handshake_retransmits);
+    sink.emit("llrp_rearms_total", health_.rearm_count);
+    sink.emit("llrp_keepalives_sent_total", health_.keepalives_sent);
+    sink.emit("llrp_state_changes_total", health_.state_changes);
+  });
   obs_.session_state = &m.gauge("llrp_session_state");
   for (std::size_t i = 0; i < kSessionStateCount; ++i) {
     obs_.time_in_state[i] =
@@ -181,7 +176,7 @@ void SessionSupervisor::bind_observability(obs::Observability& hub) {
   }
   obs_.trace_stage = hub.trace().register_stage("llrp.session");
   obs_.hub = &hub;
-  publish_health();
+  publish_gauges();
 }
 
 void SessionSupervisor::advance_to(double now_s) {
@@ -200,7 +195,7 @@ void SessionSupervisor::advance_to(double now_s) {
       state_ != SessionState::Disconnected) {
     enter(SessionState::Disconnected, now_s);
     schedule_retry(now_s);
-    publish_health();
+    publish_gauges();
     return;
   }
 
@@ -257,7 +252,7 @@ void SessionSupervisor::advance_to(double now_s) {
       break;
     }
   }
-  publish_health();
+  publish_gauges();
 }
 
 }  // namespace tagbreathe::llrp

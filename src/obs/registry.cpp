@@ -77,7 +77,12 @@ struct MetricsRegistry::Entry {
 };
 
 MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
+
+MetricsRegistry::~MetricsRegistry() {
+  // Collectors that outlive the hub must not fold into a dead registry.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [collector, collect] : collectors_) collector->registry_ = nullptr;
+}
 
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(
     std::string_view name, std::string_view label_key,
@@ -139,37 +144,85 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *entry.histogram;
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
+// --- counter collectors ----------------------------------------------------
+
+void CounterCollector::bind(MetricsRegistry& registry, Collect collect) {
+  if (registry_ != &registry) retire();
+  registry.attach(*this, std::move(collect));
+  registry_ = &registry;
+}
+
+void CounterCollector::retire() {
+  if (registry_ == nullptr) return;
+  registry_->detach(*this);
+  registry_ = nullptr;
+}
+
+void MetricsRegistry::attach(CounterCollector& collector,
+                             CounterCollector::Collect collect) {
   std::lock_guard<std::mutex> lock(mutex_);
+  collectors_[&collector] = std::move(collect);
+}
+
+void MetricsRegistry::detach(CounterCollector& collector) {
+  std::lock_guard<std::mutex> collecting(collect_mutex_);
+  CounterCollector::Collect collect;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = collectors_.find(&collector);
+    if (it == collectors_.end()) return;
+    collect = std::move(it->second);
+    collectors_.erase(it);
+  }
+  CounterSink sink(retained_);
+  collect(sink);
+}
+
+MetricsSnapshot MetricsRegistry::snapshot() const {
+  std::lock_guard<std::mutex> collecting(collect_mutex_);
   MetricsSnapshot snap;
-  for (const auto& [key, entry] : entries_) {
-    switch (entry->kind) {
-      case Entry::kCounter:
-        snap.counters.push_back(CounterSample{entry->name, entry->label_key,
-                                              entry->label_value,
-                                              entry->counter.value()});
-        break;
-      case Entry::kGauge:
-        snap.gauges.push_back(GaugeSample{entry->name, entry->label_key,
-                                          entry->label_value,
-                                          entry->gauge.value()});
-        break;
-      case Entry::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        HistogramSample sample;
-        sample.name = entry->name;
-        sample.label_key = entry->label_key;
-        sample.label_value = entry->label_value;
-        sample.bounds = h.bounds();
-        sample.counts.reserve(h.buckets());
-        for (std::size_t i = 0; i < h.buckets(); ++i)
-          sample.counts.push_back(h.bucket_count(i));
-        sample.count = h.count();
-        sample.sum = h.sum();
-        snap.histograms.push_back(std::move(sample));
-        break;
+  CounterSink::Totals counters = retained_;
+  std::vector<CounterCollector::Collect> collects;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    collects.reserve(collectors_.size());
+    for (const auto& [collector, collect] : collectors_)
+      collects.push_back(collect);
+    for (const auto& [key, entry] : entries_) {
+      switch (entry->kind) {
+        case Entry::kCounter:
+          counters[key] += entry->counter.value();
+          break;
+        case Entry::kGauge:
+          snap.gauges.push_back(GaugeSample{entry->name, entry->label_key,
+                                            entry->label_value,
+                                            entry->gauge.value()});
+          break;
+        case Entry::kHistogram: {
+          const Histogram& h = *entry->histogram;
+          HistogramSample sample;
+          sample.name = entry->name;
+          sample.label_key = entry->label_key;
+          sample.label_value = entry->label_value;
+          sample.bounds = h.bounds();
+          sample.counts.reserve(h.buckets());
+          for (std::size_t i = 0; i < h.buckets(); ++i)
+            sample.counts.push_back(h.bucket_count(i));
+          sample.count = h.count();
+          sample.sum = h.sum();
+          snap.histograms.push_back(std::move(sample));
+          break;
+        }
       }
     }
+  }
+  // Collectors take their owners' locks: run them with mutex_ released.
+  CounterSink sink(counters);
+  for (const CounterCollector::Collect& collect : collects) collect(sink);
+  snap.counters.reserve(counters.size());
+  for (const auto& [key, value] : counters) {
+    snap.counters.push_back(CounterSample{std::get<0>(key), std::get<1>(key),
+                                          std::get<2>(key), value});
   }
   return snap;
 }

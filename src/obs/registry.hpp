@@ -14,6 +14,11 @@
 // - snapshot() copies every instrument's current value under the
 //   registration mutex into plain structs, sorted by (name, label), so
 //   exports are deterministic for deterministic inputs.
+// - A counter a component already counts in its own struct is not
+//   counted again here: the component registers a CounterCollector
+//   that reports its struct fields at scrape time, and snapshot() sums
+//   every collector reporting one series (one per bound owner, e.g.
+//   each shard of a fleet).
 //
 // Names must match the Prometheus charset [a-zA-Z_:][a-zA-Z0-9_:]*.
 // One optional label pair per instrument covers the fleet's needs
@@ -28,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <memory>
@@ -39,16 +45,12 @@
 
 namespace tagbreathe::obs {
 
-/// Monotonic event count. set() exists for migration of pre-existing
-/// counter structs (core/metrics DurabilityCounters) that stay the
-/// source of truth and are mirrored onto the registry at pump cadence.
+/// Monotonic event count owned by the registry (for counts no
+/// component struct already keeps; see CounterCollector for those).
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void set(std::uint64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -139,6 +141,63 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 };
 
+/// Receives collectors' counter series during a scrape, summing the
+/// values every collector emits for one (name, label_key, label_value).
+class CounterSink {
+ public:
+  void emit(std::string_view name, std::uint64_t value) {
+    emit(name, {}, {}, value);
+  }
+  void emit(std::string_view name, std::string_view label_key,
+            std::string_view label_value, std::uint64_t value) {
+    totals_[{std::string(name), std::string(label_key),
+             std::string(label_value)}] += value;
+  }
+
+ private:
+  friend class MetricsRegistry;
+  using Totals =
+      std::map<std::tuple<std::string, std::string, std::string>, std::uint64_t>;
+  explicit CounterSink(Totals& totals) : totals_(totals) {}
+  Totals& totals_;
+};
+
+class MetricsRegistry;
+
+/// A component's registration as the only count of its counters: the
+/// callback reads the component's own fields and emits one series per
+/// field. Contract:
+///
+/// - The callback runs during snapshot(), without the registry mutex
+///   held. A component updated from several threads takes its own
+///   mutex inside the callback; any other component must be scraped
+///   from the thread that drives it.
+/// - bind() to the hub the collector is already bound to replaces the
+///   callback, so binding one component twice never double-counts.
+/// - On retire() (and so on destruction) the callback runs one last
+///   time and its values are folded into the registry's retained
+///   totals, so a scrape taken after the owner is gone keeps them.
+///   Declare the collector after every field its callback reads: it is
+///   then destroyed, and retired, first.
+/// - The registry holds the collector's address and the callback holds
+///   its owner's, so neither is copyable or movable.
+class CounterCollector {
+ public:
+  using Collect = std::function<void(CounterSink&)>;
+
+  CounterCollector() = default;
+  CounterCollector(const CounterCollector&) = delete;
+  CounterCollector& operator=(const CounterCollector&) = delete;
+  ~CounterCollector() { retire(); }
+
+  void bind(MetricsRegistry& registry, Collect collect);
+  void retire();
+
+ private:
+  friend class MetricsRegistry;
+  MetricsRegistry* registry_ = nullptr;
+};
+
 class MetricsRegistry {
  public:
   // Out of line: Entry is incomplete here, so every special member that
@@ -161,14 +220,25 @@ class MetricsRegistry {
                        std::string_view label_key = {},
                        std::string_view label_value = {});
 
+  /// Also runs every bound collector; each counter series is the sum
+  /// of its instrument, its collectors and its retired totals.
   MetricsSnapshot snapshot() const;
   std::size_t size() const;
 
  private:
+  friend class CounterCollector;
   struct Entry;
   Entry& find_or_create(std::string_view name, std::string_view label_key,
                         std::string_view label_value, int kind);
+  void attach(CounterCollector& collector, CounterCollector::Collect collect);
+  void detach(CounterCollector& collector);
 
+  // Serializes collector runs (scrapes and retires) and guards
+  // retained_, so an owner's final values move into retained_ without
+  // a scrape missing or double-counting them. Taken before mutex_,
+  // never under it.
+  mutable std::mutex collect_mutex_;
+  CounterSink::Totals retained_;  // totals of retired collectors
   mutable std::mutex mutex_;
   // Keyed by the full (name, label_key, label_value) triple: map
   // iteration gives the sorted snapshot order for free, two label keys
@@ -176,6 +246,7 @@ class MetricsRegistry {
   // addresses stable across map growth.
   using Key = std::tuple<std::string, std::string, std::string>;
   std::map<Key, std::unique_ptr<Entry>> entries_;
+  std::map<CounterCollector*, CounterCollector::Collect> collectors_;
 };
 
 }  // namespace tagbreathe::obs

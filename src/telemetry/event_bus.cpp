@@ -235,7 +235,7 @@ void EventBus::tick() {
       shed_locked(*sub, ShedReason::SlowConsumer);
     }
   }
-  publish_metrics_locked();
+  publish_gauges_locked();
 }
 
 EventBus::DrainResult EventBus::drain(std::uint64_t id,
@@ -332,43 +332,37 @@ std::size_t EventBus::live_subscriptions() const {
 }
 
 void EventBus::bind_observability(obs::Observability& hub) {
-  std::lock_guard<std::mutex> lock(mutex_);
   obs::MetricsRegistry& m = hub.metrics();
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    const BusCounters c = counters();
+    sink.emit("telemetry_events_published_total", c.events_published);
+    sink.emit("telemetry_fanout_enqueued_total", c.fanout_enqueued);
+    sink.emit("telemetry_fanout_dropped_total", c.fanout_dropped);
+    sink.emit("telemetry_fanout_coalesced_total", c.fanout_coalesced);
+    sink.emit("telemetry_fanout_filtered_total", c.filtered_out);
+    sink.emit("telemetry_subscribes_total", c.subscribes);
+    sink.emit("telemetry_resumes_total", c.resumes);
+    sink.emit("telemetry_replayed_events_total", c.replayed_events);
+    sink.emit("telemetry_resume_gap_sequences_total", c.gap_sequences);
+    for (std::size_t r = 0; r < kShedReasonCount; ++r) {
+      sink.emit("telemetry_sheds_total", "reason",
+                shed_reason_name(static_cast<ShedReason>(r)), c.sheds[r]);
+    }
+  });
+  // Locked only after collector_.bind: rebinding to another hub
+  // retires the old collector, whose callback takes mutex_.
+  std::lock_guard<std::mutex> lock(mutex_);
   obs_.hub = &hub;
-  obs_.published = &m.counter("telemetry_events_published_total");
-  obs_.enqueued = &m.counter("telemetry_fanout_enqueued_total");
-  obs_.dropped = &m.counter("telemetry_fanout_dropped_total");
-  obs_.coalesced = &m.counter("telemetry_fanout_coalesced_total");
-  obs_.filtered = &m.counter("telemetry_fanout_filtered_total");
-  obs_.subscribes = &m.counter("telemetry_subscribes_total");
-  obs_.resumes = &m.counter("telemetry_resumes_total");
-  obs_.replayed = &m.counter("telemetry_replayed_events_total");
-  obs_.gap_sequences = &m.counter("telemetry_resume_gap_sequences_total");
-  for (std::size_t r = 0; r < kShedReasonCount; ++r)
-    obs_.sheds[r] = &m.counter(
-        "telemetry_sheds_total", "reason",
-        shed_reason_name(static_cast<ShedReason>(r)));
   for (std::size_t s = 0; s < kSubscriberStateCount; ++s)
     obs_.subscribers[s] = &m.gauge(
         "telemetry_subscribers", "state",
         subscriber_state_name(static_cast<SubscriberState>(s)));
   obs_.ring_seq = &m.gauge("telemetry_last_seq");
-  publish_metrics_locked();
+  publish_gauges_locked();
 }
 
-void EventBus::publish_metrics_locked() {
+void EventBus::publish_gauges_locked() {
   if (obs_.hub == nullptr) return;
-  obs_.published->set(counters_.events_published);
-  obs_.enqueued->set(counters_.fanout_enqueued);
-  obs_.dropped->set(counters_.fanout_dropped);
-  obs_.coalesced->set(counters_.fanout_coalesced);
-  obs_.filtered->set(counters_.filtered_out);
-  obs_.subscribes->set(counters_.subscribes);
-  obs_.resumes->set(counters_.resumes);
-  obs_.replayed->set(counters_.replayed_events);
-  obs_.gap_sequences->set(counters_.gap_sequences);
-  for (std::size_t r = 0; r < kShedReasonCount; ++r)
-    obs_.sheds[r]->set(counters_.sheds[r]);
   std::size_t by_state[kSubscriberStateCount] = {};
   for (const auto& [id, sub] : subscriptions_) {
     (void)id;

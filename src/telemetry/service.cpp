@@ -234,8 +234,8 @@ void TelemetryService::service_connection(Connection& conn, double now_s) {
 
 void TelemetryService::pump(double now_s) {
   // Ladder first: it judges queue backlogs as they stood between pumps
-  // (and mirrors bus counters into the registry before any HTTP scrape
-  // this pump answers).
+  // (and samples the bus gauges before any HTTP scrape this pump
+  // answers).
   bus_.tick();
   for (auto& [id, conn] : connections_) {
     (void)id;
@@ -250,7 +250,7 @@ void TelemetryService::pump(double now_s) {
     else
       ++it;
   }
-  publish_metrics();
+  publish_gauges();
 }
 
 void TelemetryService::shutdown() {
@@ -259,7 +259,7 @@ void TelemetryService::shutdown() {
     close_locked(*conn, ShedReason::ServerShutdown, true);
   }
   connections_.clear();
-  publish_metrics();
+  publish_gauges();
 }
 
 bool TelemetryService::connection_open(std::uint64_t conn_id) const {
@@ -286,29 +286,24 @@ void TelemetryService::bind_observability(obs::Observability& hub) {
   hub_ = &hub;
   bus_.bind_observability(hub);
   obs::MetricsRegistry& m = hub.metrics();
-  obs_.accepted = &m.counter("telemetry_connections_accepted_total");
-  obs_.closed = &m.counter("telemetry_connections_closed_total");
-  obs_.events_sent = &m.counter("telemetry_events_sent_total");
-  obs_.gap_frames = &m.counter("telemetry_gap_frames_total");
-  obs_.shed_frames = &m.counter("telemetry_shed_frames_total");
-  obs_.protocol_errors = &m.counter("telemetry_protocol_errors_total");
-  obs_.heartbeat_timeouts = &m.counter("telemetry_heartbeat_timeouts_total");
-  obs_.http_requests = &m.counter("telemetry_http_requests_total");
-  obs_.open_conns = &m.gauge("telemetry_open_connections");
-  publish_metrics();
+  collector_.bind(m, [this](obs::CounterSink& sink) {
+    sink.emit("telemetry_connections_accepted_total", counters_.accepted);
+    sink.emit("telemetry_connections_closed_total", counters_.closed);
+    sink.emit("telemetry_events_sent_total", counters_.events_sent);
+    sink.emit("telemetry_gap_frames_total", counters_.gap_frames_sent);
+    sink.emit("telemetry_shed_frames_total", counters_.shed_frames_sent);
+    sink.emit("telemetry_protocol_errors_total", counters_.protocol_errors);
+    sink.emit("telemetry_heartbeat_timeouts_total",
+              counters_.heartbeat_timeouts);
+    sink.emit("telemetry_http_requests_total", counters_.http_requests);
+  });
+  open_conns_ = &m.gauge("telemetry_open_connections");
+  publish_gauges();
 }
 
-void TelemetryService::publish_metrics() {
-  if (hub_ == nullptr || obs_.accepted == nullptr) return;
-  obs_.accepted->set(counters_.accepted);
-  obs_.closed->set(counters_.closed);
-  obs_.events_sent->set(counters_.events_sent);
-  obs_.gap_frames->set(counters_.gap_frames_sent);
-  obs_.shed_frames->set(counters_.shed_frames_sent);
-  obs_.protocol_errors->set(counters_.protocol_errors);
-  obs_.heartbeat_timeouts->set(counters_.heartbeat_timeouts);
-  obs_.http_requests->set(counters_.http_requests);
-  obs_.open_conns->set(static_cast<double>(open_connections()));
+void TelemetryService::publish_gauges() {
+  if (open_conns_ != nullptr)
+    open_conns_->set(static_cast<double>(open_connections()));
 }
 
 }  // namespace tagbreathe::telemetry

@@ -118,7 +118,7 @@ class TelemetryService {
   void handle_frame(Connection& conn, const Frame& frame, double now_s);
   void send(Connection& conn, const Frame& frame);
   void close_locked(Connection& conn, ShedReason reason, bool send_shed);
-  void publish_metrics();
+  void publish_gauges();
 
   TelemetryServiceConfig config_;
   EventBus bus_;
@@ -127,17 +127,8 @@ class TelemetryService {
   ServiceCounters counters_;
   obs::Observability* hub_ = nullptr;
 
-  struct Instruments {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* closed = nullptr;
-    obs::Counter* events_sent = nullptr;
-    obs::Counter* gap_frames = nullptr;
-    obs::Counter* shed_frames = nullptr;
-    obs::Counter* protocol_errors = nullptr;
-    obs::Counter* heartbeat_timeouts = nullptr;
-    obs::Counter* http_requests = nullptr;
-    obs::Gauge* open_conns = nullptr;
-  } obs_;
+  obs::Gauge* open_conns_ = nullptr;  // null until bind_observability
+  obs::CounterCollector collector_;  // last: retires before fields go
 };
 
 }  // namespace tagbreathe::telemetry
