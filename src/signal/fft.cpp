@@ -255,22 +255,57 @@ real_plan_cache() {
 }  // namespace
 
 RealFftPlan::RealFftPlan(std::size_t n) : n_(n) {
-  if (n < 2 || n % 2 != 0)
-    throw std::invalid_argument("RealFftPlan: size must be even and >= 2");
-  half_ = FftPlan::get(n / 2, FftDirection::Forward);
-  half_inv_ = FftPlan::get(n / 2, FftDirection::Inverse);
-  // Packing twiddles exp(-2*pi*i*k/N) for k in [0, N/2].
-  twiddles_.resize(n / 2 + 1);
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    const double angle = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-    twiddles_[k] = cdouble(std::cos(angle), std::sin(angle));
+  if (n == 0) throw std::invalid_argument("RealFftPlan: size must be positive");
+  if (n % 2 == 0) {
+    fwd_ = FftPlan::get(n / 2, FftDirection::Forward);
+    inv_ = FftPlan::get(n / 2, FftDirection::Inverse);
+    // Packing twiddles exp(-2*pi*i*k/N) for k in [0, N/2].
+    twiddles_.resize(n / 2 + 1);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      const double angle = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+      twiddles_[k] = cdouble(std::cos(angle), std::sin(angle));
+    }
+    return;
   }
+
+  // Odd N: pruned Bluestein. Chirp c_k = exp(-i*pi*k^2/N) (k^2 mod 2N,
+  // as in FftPlan) and its conjugate, the inverse direction's chirp.
+  chirp_.resize(n);
+  chirp_inv_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t k2 = (k * k) % (2 * n);
+    const double angle = -kPi * static_cast<double>(k2) / static_cast<double>(n);
+    chirp_[k] = cdouble(std::cos(angle), std::sin(angle));
+    chirp_inv_[k] = std::conj(chirp_[k]);
+  }
+  // Both convolutions pair N points with h = (N+1)/2 points, so their
+  // lags span N + h - 1 values and a circular convolution of that size
+  // has no wrap on the outputs that are kept.
+  const std::size_t h = (n + 1) / 2;
+  m_ = next_pow2(n + h - 1);
+  fwd_ = FftPlan::get(m_, FftDirection::Forward);
+  inv_ = FftPlan::get(m_, FftDirection::Inverse);
+
+  // Forward kernel conj(c_j) on lags [-(N-1), h-1], laid out circularly.
+  // The inverse kernel c_j on lags [-(h-1), N-1] is the forward one
+  // conjugated and time-reversed, so its spectrum is the conjugate.
+  kernel_fwd_.assign(m_, cdouble(0.0, 0.0));
+  for (std::size_t k = 0; k < h; ++k) kernel_fwd_[k] = chirp_inv_[k];
+  for (std::size_t k = 1; k < n; ++k) kernel_fwd_[m_ - k] = chirp_inv_[k];
+  FftScratch scratch;
+  fwd_->execute(kernel_fwd_, scratch);
+  kernel_inv_.resize(m_);
+  for (std::size_t k = 0; k < m_; ++k) kernel_inv_[k] = std::conj(kernel_fwd_[k]);
 }
 
 void RealFftPlan::execute(std::span<const double> in, std::span<cdouble> out,
                           FftScratch& scratch) const {
   if (in.size() != n_ || out.size() != n_)
     throw std::invalid_argument("RealFftPlan::execute: span size mismatch");
+  if (n_ % 2 != 0) {
+    execute_odd(in, out, scratch);
+    return;
+  }
   const std::size_t h = n_ / 2;
 
   // Pack adjacent reals into complex samples: z[k] = x[2k] + i*x[2k+1].
@@ -281,7 +316,7 @@ void RealFftPlan::execute(std::span<const double> in, std::span<cdouble> out,
   const double* const x = in.data();
   for (std::size_t k = 0; k < h; ++k)
     z[k] = cdouble(x[2 * k], x[2 * k + 1]);
-  half_->execute(zv, scratch);
+  fwd_->execute(zv, scratch);
 
   // Untangle the even/odd spectra and recombine:
   //   Fe[k] = (Z[k] + conj(Z[h-k])) / 2        (spectrum of x_even)
@@ -314,6 +349,10 @@ void RealFftPlan::execute_inverse(std::span<const cdouble> spectrum,
   if (spectrum.size() != n_ || out.size() != n_)
     throw std::invalid_argument(
         "RealFftPlan::execute_inverse: span size mismatch");
+  if (n_ % 2 != 0) {
+    execute_inverse_odd(spectrum, out, scratch);
+    return;
+  }
   const std::size_t h = n_ / 2;
 
   // Re-tangle the half spectrum into the spectrum of the packed signal
@@ -335,13 +374,61 @@ void RealFftPlan::execute_inverse(std::span<const cdouble> spectrum,
     const cdouble fo = 0.5 * (xk - xc) * std::conj(tw[k]);
     z[k] = fe + cdouble(-fo.imag(), fo.real());
   }
-  half_inv_->execute(zv, scratch);  // includes the 1/h scale
+  inv_->execute(zv, scratch);  // includes the 1/h scale
 
   double* const o = out.data();
   for (std::size_t k = 0; k < h; ++k) {
     o[2 * k] = z[k].real();
     o[2 * k + 1] = z[k].imag();
   }
+}
+
+void RealFftPlan::execute_odd(std::span<const double> in,
+                              std::span<cdouble> out,
+                              FftScratch& scratch) const {
+  // X[k] = c_k * sum_j (x[j] c_j) conj(c_(k-j)), needed only for
+  // k < h = (N+1)/2; conjugate symmetry fills the rest. The pointwise
+  // products run through the dispatched kernel table.
+  const simd::DspKernels& kn = simd::kernels();
+  const std::size_t h = (n_ + 1) / 2;
+  std::vector<cdouble>& av = scratch.a;
+  av.assign(m_, cdouble(0.0, 0.0));
+  cdouble* const a = av.data();
+  const double* const x = in.data();
+  for (std::size_t k = 0; k < n_; ++k) a[k] = cdouble(x[k], 0.0);
+  kn.complex_mul(a, a, chirp_.data(), n_);
+  fwd_->execute(av, scratch);  // pow2: scratch unused, in-place
+  kn.complex_mul(a, a, kernel_fwd_.data(), m_);
+  inv_->execute(av, scratch);  // includes the 1/m scale
+  cdouble* const o = out.data();
+  kn.complex_mul(o, a, chirp_.data(), h);
+  for (std::size_t k = 1; k < h; ++k) o[n_ - k] = std::conj(o[k]);
+}
+
+void RealFftPlan::execute_inverse_odd(std::span<const cdouble> spectrum,
+                                      std::span<double> out,
+                                      FftScratch& scratch) const {
+  // Re(sum_k X[k] e^(2*pi*i*k*t/N)) pairs bin k with bin N-k, so it
+  // equals Re(sum_{k<h} Y[k] e^(2*pi*i*k*t/N)) with the folded spectrum
+  // Y[0] = Re X[0], Y[k] = X[k] + conj(X[N-k]). This holds for any
+  // spectrum, Hermitian or not. Bluestein then maps h inputs to N
+  // outputs with the inverse chirp.
+  const simd::DspKernels& kn = simd::kernels();
+  const std::size_t h = (n_ + 1) / 2;
+  std::vector<cdouble>& av = scratch.a;
+  av.assign(m_, cdouble(0.0, 0.0));
+  cdouble* const a = av.data();
+  const cdouble* const x = spectrum.data();
+  a[0] = cdouble(x[0].real(), 0.0);
+  for (std::size_t k = 1; k < h; ++k) a[k] = x[k] + std::conj(x[n_ - k]);
+  kn.complex_mul(a, a, chirp_inv_.data(), h);
+  fwd_->execute(av, scratch);
+  kn.complex_mul(a, a, kernel_inv_.data(), m_);
+  inv_->execute(av, scratch);
+  kn.complex_mul(a, a, chirp_inv_.data(), n_);
+  const double scale = 1.0 / static_cast<double>(n_);
+  double* const o = out.data();
+  for (std::size_t k = 0; k < n_; ++k) o[k] = a[k].real() * scale;
 }
 
 std::shared_ptr<const RealFftPlan> RealFftPlan::get(std::size_t n) {
@@ -407,61 +494,26 @@ void fft_real_many(std::span<const RealFftJob> jobs, FftScratch& scratch) {
   // Plans are re-fetched only when the size changes between consecutive
   // jobs; the engine's batches are all one size, so the plan-cache mutex
   // is taken once per sweep.
-  std::shared_ptr<const RealFftPlan> even_plan;
-  std::shared_ptr<const FftPlan> odd_plan;
+  std::shared_ptr<const RealFftPlan> plan;
   for (const RealFftJob& job : jobs) {
     const std::size_t n = job.in.size();
     std::vector<cdouble>& out = *job.out;
     out.resize(n);
     if (n == 0) continue;
-    if (n == 1) {
-      out[0] = cdouble(job.in[0], 0.0);
-      continue;
-    }
-    if (n % 2 == 0) {
-      if (even_plan == nullptr || even_plan->size() != n)
-        even_plan = RealFftPlan::get(n);
-      even_plan->execute(job.in, out, scratch);
-      continue;
-    }
-    // Odd length: widen to complex and run the full plan. The widened
-    // input stages through scratch.b (the Bluestein path only uses
-    // scratch.a, so the buffers do not collide).
-    std::vector<cdouble>& wide = scratch.b;
-    wide.resize(n);
-    cdouble* const w = wide.data();
-    const double* const x = job.in.data();
-    for (std::size_t i = 0; i < n; ++i) w[i] = cdouble(x[i], 0.0);
-    if (odd_plan == nullptr || odd_plan->size() != n)
-      odd_plan = FftPlan::get(n, FftDirection::Forward);
-    odd_plan->execute(wide, out, scratch);
+    if (plan == nullptr || plan->size() != n) plan = RealFftPlan::get(n);
+    plan->execute(job.in, out, scratch);
   }
 }
 
 void ifft_real_many(std::span<const RealIfftJob> jobs, FftScratch& scratch) {
-  std::shared_ptr<const RealFftPlan> even_plan;
-  std::shared_ptr<const FftPlan> odd_plan;
+  std::shared_ptr<const RealFftPlan> plan;
   for (const RealIfftJob& job : jobs) {
     const std::size_t n = job.spectrum.size();
     std::vector<double>& out = *job.out;
     out.resize(n);
     if (n == 0) continue;
-    if (n % 2 == 0) {
-      if (even_plan == nullptr || even_plan->size() != n)
-        even_plan = RealFftPlan::get(n);
-      even_plan->execute_inverse(job.spectrum, out, scratch);
-      continue;
-    }
-    // Odd length: full complex inverse staged in scratch.b (as in the
-    // forward widening), keep the real part.
-    std::vector<cdouble>& time = scratch.b;
-    time.resize(n);
-    if (odd_plan == nullptr || odd_plan->size() != n)
-      odd_plan = FftPlan::get(n, FftDirection::Inverse);
-    odd_plan->execute(job.spectrum, time, scratch);
-    const cdouble* const t = time.data();
-    double* const o = out.data();
-    for (std::size_t i = 0; i < n; ++i) o[i] = t[i].real();
+    if (plan == nullptr || plan->size() != n) plan = RealFftPlan::get(n);
+    plan->execute_inverse(job.spectrum, out, scratch);
   }
 }
 

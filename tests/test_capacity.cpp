@@ -502,11 +502,9 @@ TEST(FlatPlanCacheConcurrency, RacingLookupsAreSafeWhileTableGrows) {
               std::abs(data[0].real() - static_cast<double>(n)) > 1e-6) {
             failures.fetch_add(1);
           }
-          if (n % 2 == 0) {
-            const auto real_plan = signal::RealFftPlan::get(n);
-            if (real_plan == nullptr || real_plan->size() != n) {
-              failures.fetch_add(1);
-            }
+          const auto real_plan = signal::RealFftPlan::get(n);
+          if (real_plan == nullptr || real_plan->size() != n) {
+            failures.fetch_add(1);
           }
         }
       }
@@ -547,12 +545,19 @@ TEST(ByteIdentity, FleetChaosSoakEventHashMatchesPreSwapGolden) {
   cfg.reader_chaos.push_back(
       core::ReaderChaosConfig::flap(5, 2.0, 4.0, 3.0, 2, 5));
 
+  // Re-pinned once, from 0xc1fe874d3796520b, when odd-length real
+  // transforms moved to the pruned Bluestein (signal::RealFftPlan). The
+  // container swap this test guards is still invisible; what moved is
+  // the filter's rounding. The soak's sparse 1 Hz tracks leave a band
+  // signal at the rounding floor, and the zero-crossing hysteresis
+  // scales with that signal's own peak, so the crossings and the rates
+  // of 933 of the 20000 events at t = 16 s and t = 20 s follow the
+  // rounding. The core soak below did not move.
   const fleet::FleetSoakReport report = fleet::run_fleet_soak(cfg);
   EXPECT_TRUE(report.ok()) << "violations: " << report.violations.size();
   EXPECT_EQ(report.events, 50000u);
-  EXPECT_EQ(report.event_log_hash, 0xc1fe874d3796520bull)
-      << "10k-user fleet soak event log diverged from the pre-swap "
-         "std::map golden run";
+  EXPECT_EQ(report.event_log_hash, 0xd0e878228ca34400ull)
+      << "10k-user fleet soak event log diverged from the pinned run";
 }
 
 TEST(ByteIdentity, CoreChaosSoakEventHashMatchesPreSwapGolden) {

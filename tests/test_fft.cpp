@@ -165,8 +165,8 @@ std::vector<double> naive_real_idft(std::span<const cdouble> spectrum) {
 
 TEST(Fft, IfftRealRecoversRealSignal) {
   // Even sizes take the half-size c2r path (Bluestein and pow2 halves,
-  // down to the trivial 1-point half of n = 2); odd sizes the full
-  // complex inverse.
+  // down to the trivial 1-point half of n = 2); odd sizes the pruned
+  // Bluestein.
   for (const std::size_t n : {2u, 4u, 150u, 151u, 600u, 601u, 2048u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     common::Rng rng(78 + n);
@@ -197,6 +197,80 @@ TEST(Fft, BinFrequencyNegativeHalf) {
   EXPECT_DOUBLE_EQ(bin_frequency(4, 8, 16.0), 8.0);   // Nyquist
   EXPECT_DOUBLE_EQ(bin_frequency(5, 8, 16.0), -6.0);  // negative side
   EXPECT_DOUBLE_EQ(bin_frequency(7, 8, 16.0), -2.0);
+}
+
+// --- odd-length real transforms (pruned Bluestein) --------------------------
+
+/// Largest |a - b| over the largest |b|: the relative error of a
+/// transform against its reference, in the max norm.
+template <typename T>
+double max_relative_error(std::span<const T> a, std::span<const T> b) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    diff = std::max(diff, std::abs(a[i] - b[i]));
+    scale = std::max(scale, std::abs(b[i]));
+  }
+  return diff / scale;
+}
+
+/// O(N^2) reference DFT of a real signal, angle index reduced mod N.
+std::vector<cdouble> naive_real_dft(std::span<const double> x) {
+  const std::size_t n = x.size();
+  std::vector<cdouble> roots(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double angle =
+        -kTwoPi * static_cast<double>(j) / static_cast<double>(n);
+    roots[j] = cdouble(std::cos(angle), std::sin(angle));
+  }
+  std::vector<cdouble> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cdouble acc(0.0, 0.0);
+    for (std::size_t j = 0; j < n; ++j) acc += x[j] * roots[(k * j) % n];
+    out[k] = acc;
+  }
+  return out;
+}
+
+constexpr std::size_t kOddSizes[] = {3, 5, 7, 9, 151, 601, 2401};
+
+TEST(RealFftOdd, ForwardMatchesNaiveRealDft) {
+  for (const std::size_t n : kOddSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    common::Rng rng(91 + n);
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.normal();
+    const std::vector<cdouble> fast = fft_real(x);
+    const std::vector<cdouble> slow = naive_real_dft(x);
+    ASSERT_EQ(fast.size(), n);
+    EXPECT_LT(max_relative_error<cdouble>(fast, slow), 1e-12);
+  }
+}
+
+TEST(RealFftOdd, InverseIsRealPartOfComplexInverseForAnySpectrum) {
+  // Random bins with no conjugate symmetry and a complex DC bin: the
+  // fold must still reproduce the real part of the full inverse.
+  for (const std::size_t n : kOddSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<cdouble> spectrum = random_signal(n, 92 + n);
+    const std::vector<double> fast = ifft_real(spectrum);
+    const std::vector<cdouble> full = ifft(spectrum);
+    std::vector<double> reference(n);
+    for (std::size_t i = 0; i < n; ++i) reference[i] = full[i].real();
+    ASSERT_EQ(fast.size(), n);
+    EXPECT_LT(max_relative_error<double>(fast, reference), 1e-12);
+  }
+}
+
+TEST(RealFftOdd, SingleSampleIsItsOwnTransform) {
+  const std::vector<double> x = {-2.5};
+  const std::vector<cdouble> X = fft_real(x);
+  ASSERT_EQ(X.size(), 1u);
+  EXPECT_EQ(X[0].real(), -2.5);
+  EXPECT_EQ(X[0].imag(), 0.0);
+  const std::vector<cdouble> spectrum = {cdouble(3.25, 1.5)};
+  const std::vector<double> back = ifft_real(spectrum);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0], 3.25);
 }
 
 TEST(Fft, EmptyInput) {

@@ -332,9 +332,12 @@ TEST(FftEquivalence, RealTransformsBitIdenticalAcrossLevels) {
     GTEST_SKIP() << "no vector unit on this build/machine";
   DispatchRestore restore;
 
+  // Odd sizes run the pruned Bluestein (inner 4, 8, 16 and 1024 for
+  // 3, 5, 9 and 601); even sizes the packed half-size transform.
   FftScratch scratch;
-  for (const std::size_t n :
-       {std::size_t{64}, std::size_t{600}, std::size_t{601}}) {
+  for (const std::size_t n : {std::size_t{3}, std::size_t{5}, std::size_t{9},
+                              std::size_t{64}, std::size_t{600},
+                              std::size_t{601}}) {
     const std::vector<double> input = random_real(n, 0xFACE + n);
     std::vector<cdouble> scalar_spec, vector_spec;
     signal::simd::override_level_for_testing(SimdLevel::Scalar);
@@ -571,24 +574,29 @@ TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
 TEST(BatchedZeroAlloc, WarmExtractManySweepAllocatesNothing) {
   // Default config: the adaptive band's coarse low-pass and ACF peak
   // search run through the same warm workspace as the filter sweep.
+  // 600 samples run the packed even transform, 601 (the realtime grid)
+  // the pruned odd one.
   const core::BreathExtractor extractor;
   constexpr double kRate = 20.0;
   constexpr std::size_t kJobs = 12;
-  std::vector<std::vector<signal::TimedSample>> tracks;
-  for (std::size_t j = 0; j < kJobs; ++j)
-    tracks.push_back(breathing_track(600, kRate, 0.2, 0x99 + j));
-  std::vector<core::BreathSignal> outs(kJobs);
-  std::vector<core::ExtractJob> jobs;
-  for (std::size_t j = 0; j < kJobs; ++j)
-    jobs.push_back(core::ExtractJob{tracks[j], kRate, &outs[j]});
-  signal::FftWorkspace ws;
-  core::ExtractScratch scratch;
+  for (const std::size_t samples : {std::size_t{600}, std::size_t{601}}) {
+    SCOPED_TRACE("samples=" + std::to_string(samples));
+    std::vector<std::vector<signal::TimedSample>> tracks;
+    for (std::size_t j = 0; j < kJobs; ++j)
+      tracks.push_back(breathing_track(samples, kRate, 0.2, 0x99 + j));
+    std::vector<core::BreathSignal> outs(kJobs);
+    std::vector<core::ExtractJob> jobs;
+    for (std::size_t j = 0; j < kJobs; ++j)
+      jobs.push_back(core::ExtractJob{tracks[j], kRate, &outs[j]});
+    signal::FftWorkspace ws;
+    core::ExtractScratch scratch;
 
-  extractor.extract_many(jobs, ws, scratch);  // warm-up
-  const std::uint64_t before = g_allocations.load();
-  for (int round = 0; round < 20; ++round)
-    extractor.extract_many(jobs, ws, scratch);
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+    extractor.extract_many(jobs, ws, scratch);  // warm-up
+    const std::uint64_t before = g_allocations.load();
+    for (int round = 0; round < 20; ++round)
+      extractor.extract_many(jobs, ws, scratch);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+  }
 }
 
 // --- scratch alignment ------------------------------------------------------
