@@ -242,6 +242,80 @@ BENCHMARK(BM_AnalysisFanoutBatched)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// --- per-user window scan: dense beds vs sparse users ---------------------
+//
+// One analyze_users call over 16 users and a 30 s window (the demux
+// holds just the window, as after the pipeline's eviction) through a
+// warm scratch. Dense users are paper-shaped beds: 3 tags each read at
+// ~70 Hz, round-robin over 4 antennas, so 12 (tag, antenna) streams and
+// ~6300 in-window reads per user. Sparse users carry 1 tag at 1.5 Hz on
+// one antenna. Both fuse to the same 601-sample track, so the
+// dense / sparse time ratio isolates the work that grows with reads:
+// the health scan, antenna scoring, preprocessing and fusion.
+
+void add_bedside_users(core::StreamDemux& demux, std::uint32_t tags,
+                       std::uint8_t antennas, double tag_hz) {
+  constexpr std::uint64_t kUsers = 16;
+  core::ReadStream reads;
+  std::uint64_t jitter = 0x9e3779b97f4a7c15ull;
+  for (std::uint64_t u = 1; u <= kUsers; ++u) {
+    const double rate_hz = 0.15 + 0.02 * static_cast<double>(u % 5);
+    for (std::uint32_t tag = 1; tag <= tags; ++tag) {
+      std::size_t k = 0;
+      for (double t = 5.0 + 0.01 * static_cast<double>(u + tag); t < 35.0;
+           ++k) {
+        core::TagRead r;
+        r.time_s = t;
+        r.epc = rfid::Epc96::from_user_tag(u, tag);
+        r.antenna_id = static_cast<std::uint8_t>(1 + k % antennas);
+        r.frequency_hz = 920.625e6;
+        r.rssi_dbm = -50.0 - static_cast<double>(r.antenna_id);
+        r.phase_rad = common::wrap_phase_2pi(
+            1.0 + 0.35 * std::sin(common::kTwoPi * rate_hz * t +
+                                  static_cast<double>(u + tag)));
+        reads.push_back(r);
+        jitter = jitter * 6364136223846793005ull + 1442695040888963407ull;
+        const double unit = static_cast<double>(jitter >> 11) * 0x1.0p-53;
+        t += (0.5 + unit) / tag_hz;
+      }
+    }
+  }
+  // Readers report in time order, so each stream arrives time-ordered.
+  std::stable_sort(reads.begin(), reads.end(),
+                   [](const core::TagRead& a, const core::TagRead& b) {
+                     return a.time_s < b.time_s;
+                   });
+  demux.add(reads);
+}
+
+void run_analyze_users(benchmark::State& state,
+                       const core::StreamDemux& demux) {
+  const std::vector<std::uint64_t>& ids = demux.users();
+  core::BreathMonitor monitor;
+  core::AnalysisScratch scratch;
+  std::vector<core::UserAnalysis> results(ids.size());
+  for (auto _ : state) {
+    monitor.analyze_users(demux, ids, 5.0, 35.0, &scratch, results);
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.counters["reads/user"] = static_cast<double>(demux.accepted_reads()) /
+                                 static_cast<double>(ids.size());
+}
+
+void BM_AnalyzeUsersDense(benchmark::State& state) {
+  core::StreamDemux demux;
+  add_bedside_users(demux, 3, 4, 70.0);
+  run_analyze_users(state, demux);
+}
+BENCHMARK(BM_AnalyzeUsersDense)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_AnalyzeUsersSparse(benchmark::State& state) {
+  core::StreamDemux demux;
+  add_bedside_users(demux, 1, 1, 1.5);
+  run_analyze_users(state, demux);
+}
+BENCHMARK(BM_AnalyzeUsersSparse)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_PipelineMultiUser(benchmark::State& state) {
   // The whole realtime pipeline fed a 30 s multi-user stream: ingest,
   // dirty-window bookkeeping, the parallel fan-out and the event state

@@ -21,6 +21,53 @@ struct AnalyzeTraceGuard {
   }
 };
 
+/// Fills `times` with the in-window read times of `streams`, ascending.
+/// Each stream normally holds its reads in time order, so the gather
+/// leaves one sorted run per stream and the runs are merged pairwise
+/// through `spare` (O(n log k) for k runs). If any run is out of order
+/// (reads that reached the demux late) the whole gather is std::sorted
+/// instead. Both yield the same sequence, because two times that compare
+/// equal are the same double (-0.0 and +0.0 aside, which a read
+/// timestamp does not carry).
+void gather_window_times(std::span<const std::vector<TagRead>* const> streams,
+                         double t0, double t1, std::vector<double>& times,
+                         std::vector<double>& spare,
+                         std::vector<std::size_t>& run_ends) {
+  times.clear();
+  run_ends.clear();
+  bool ordered = true;
+  for (const auto* stream : streams) {
+    const std::size_t begin = times.size();
+    for (const TagRead& r : *stream)
+      if (r.time_s >= t0 && r.time_s <= t1) times.push_back(r.time_s);
+    if (times.size() == begin) continue;
+    ordered = ordered &&
+              std::is_sorted(times.data() + begin, times.data() + times.size());
+    run_ends.push_back(times.size());
+  }
+  if (!ordered) {
+    std::sort(times.begin(), times.end());
+    return;
+  }
+  // Each pass merges neighbouring runs; an odd last run is copied over.
+  while (run_ends.size() > 1) {
+    spare.resize(times.size());
+    const double* src = times.data();
+    double* dst = spare.data();
+    std::size_t begin = 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < run_ends.size(); i += 2) {
+      const std::size_t mid = run_ends[i];
+      const std::size_t end = i + 1 < run_ends.size() ? run_ends[i + 1] : mid;
+      std::merge(src + begin, src + mid, src + mid, src + end, dst + begin);
+      run_ends[kept++] = end;
+      begin = end;
+    }
+    run_ends.resize(kept);
+    times.swap(spare);
+  }
+}
+
 }  // namespace
 
 BreathMonitor::BreathMonitor(MonitorConfig config)
@@ -78,11 +125,8 @@ bool BreathMonitor::analyze_prepare(const StreamDemux& demux,
   // set that went quiet is not mistaken for a healthy signal.
   {
     std::vector<double>& times = scratch.read_times;
-    times.clear();
-    for (const auto* stream : all_streams)
-      for (const TagRead& r : *stream)
-        if (r.time_s >= t0 && r.time_s <= t1) times.push_back(r.time_s);
-    std::sort(times.begin(), times.end());
+    gather_window_times(all_streams, t0, t1, times, scratch.merge_spare,
+                        scratch.run_ends);
     if (!times.empty()) {
       out.last_read_s = times.back();
       out.tail_gap_s = t1 - times.back();

@@ -81,8 +81,14 @@ struct alignas(64) AnalysisScratch {
   /// Extraction jobs staged across one analyze_users batch.
   std::vector<ExtractJob> extract_jobs;
   /// Signal-health staging: the in-window read times of the user being
-  /// prepared, across all of its streams.
+  /// prepared, across all of its streams, ascending. Gathered as one
+  /// time-ordered run per stream (`run_ends` marks where each ends) and
+  /// merged through `merge_spare`, which trades places with
+  /// `read_times` on every merge pass. All three keep their high-water
+  /// capacity, so a warm scan allocates nothing.
   std::vector<double> read_times;
+  std::vector<double> merge_spare;
+  std::vector<std::size_t> run_ends;
 };
 
 /// Everything TagBreathe derives for one user from one window.
