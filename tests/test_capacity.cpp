@@ -580,3 +580,28 @@ TEST(ByteIdentity, CoreChaosSoakEventHashMatchesPreSwapGolden) {
       << "composite-chaos soak event log diverged from the pre-swap "
          "std::map golden run";
 }
+
+// The same soak with dirty-window coasting on: users whose streams saw
+// no new read since their last analysis coast on what that analysis
+// left behind, so this log pins the coasting path too.
+TEST(ByteIdentity, CoreChaosSoakWithCoastingHashPinned) {
+  core::SoakConfig cfg;
+  cfg.n_users = 8;
+  cfg.tags_per_user = 2;
+  cfg.duration_s = 120.0;
+  cfg.read_rate_hz = 8.0;
+  cfg.chaos = core::ChaosConfig::composite(0xC0FFEE);
+  cfg.ingest.max_users = 0;
+  for (std::uint64_t user = 1; user <= 8; ++user) {
+    cfg.ingest.monitored_users.push_back(user);
+  }
+  cfg.pipeline.skip_clean_users = true;
+
+  const core::SoakReport report = core::run_soak(cfg);
+  EXPECT_TRUE(report.violations.empty())
+      << "violations: " << report.violations.size();
+  EXPECT_EQ(report.events, 848u);
+  EXPECT_EQ(fnv1a_lines(report.event_log), 0xe2b00ee9e8dd50b6ull)
+      << "coasting composite-chaos soak event log diverged from the "
+         "pinned run";
+}
