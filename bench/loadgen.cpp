@@ -199,8 +199,8 @@ Point run_fleet_point(const Options& opts, std::size_t users) {
       footprint += pipeline.footprint_bytes();
       point.registry_max_probe =
           std::max(point.registry_max_probe, pipeline.registry_max_probe());
-      point.arena_occupancy =
-          std::max(point.arena_occupancy, pipeline.arena_occupancy());
+      point.arena_occupancy = std::max(point.arena_occupancy,
+                                       pipeline.demux().arena_occupancy());
     }
     point.footprint_bytes_per_user =
         static_cast<double>(footprint) / static_cast<double>(tracked);
@@ -275,7 +275,7 @@ Point run_journal_point(const Options& opts) {
         static_cast<double>(point.users);
   }
   point.registry_max_probe = pipeline.registry_max_probe();
-  point.arena_occupancy = pipeline.arena_occupancy();
+  point.arena_occupancy = pipeline.demux().arena_occupancy();
   point.p50_tick_ms = percentile(chunk_ms, 0.50);
   point.p99_tick_ms = percentile(chunk_ms, 0.99);
   point.max_tick_ms = chunk_ms.empty()

@@ -110,7 +110,7 @@ void BM_ObsOverhead(benchmark::State& state) {
     core::RealtimePipeline pipeline{core::PipelineConfig{}};
     if (bound) pipeline.bind_observability(hub);
     for (const auto& r : reads) pipeline.push(r);
-    benchmark::DoNotOptimize(pipeline.latest_size());
+    benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
       static_cast<double>(reads.size()), benchmark::Counter::kIsRate);

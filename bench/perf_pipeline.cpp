@@ -72,7 +72,7 @@ void BM_RealtimePipelineFeed(benchmark::State& state) {
     core::PipelineConfig cfg;
     core::RealtimePipeline pipeline(cfg, nullptr);
     for (const auto& r : reads) pipeline.push(r);
-    benchmark::DoNotOptimize(pipeline.latest_size());
+    benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
       static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
@@ -320,25 +320,23 @@ void BM_PipelineMultiUser(benchmark::State& state) {
   // The whole realtime pipeline fed a 30 s multi-user stream: ingest,
   // dirty-window bookkeeping, the parallel fan-out and the event state
   // machine. range(0) = users, range(1) = analysis threads, range(2) =
-  // skip_clean_users, range(3) = analysis_batch (1 = legacy per-user
-  // work items, 16 = chunked fft_many sweeps).
+  // skip_clean_users.
   const auto users = static_cast<std::size_t>(state.range(0));
   const auto reads = synthetic_reads(users, 30.0);
   for (auto _ : state) {
     core::PipelineConfig cfg;
     cfg.analysis_threads = static_cast<std::size_t>(state.range(1));
     cfg.skip_clean_users = state.range(2) != 0;
-    cfg.analysis_batch = static_cast<std::size_t>(state.range(3));
     core::RealtimePipeline pipeline(cfg, nullptr);
     for (const auto& r : reads) pipeline.push(r);
-    benchmark::DoNotOptimize(pipeline.latest_size());
+    benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
       static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PipelineMultiUser)
-    ->ArgNames({"users", "threads", "skip", "batch"})
-    ->ArgsProduct({{8, 64}, {0, 2}, {0, 1}, {1, 16}})
+    ->ArgNames({"users", "threads", "skip"})
+    ->ArgsProduct({{8, 64}, {0, 2}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

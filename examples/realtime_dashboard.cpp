@@ -3,7 +3,9 @@
 // variability, and link health, refreshed as data streams in.
 //
 // Two users breathe at different (and changing) rates; the display
-// redraws every 5 seconds of stream time.
+// redraws every 20 seconds of stream time. The realtime pipeline keeps
+// only a rate summary per user, so the dashboard keeps its own trailing
+// window of reads and re-analyses it whenever it draws a waveform.
 //
 // The pipeline is bound to an observability hub; on exit the full
 // Prometheus scrape is written to `dashboard_metrics.prom` (first
@@ -11,6 +13,7 @@
 // would serve, so `curl`-style tooling and promtool can consume it.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/breath_stats.hpp"
@@ -23,12 +26,12 @@ using namespace tagbreathe;
 
 namespace {
 
-void draw(double now, const core::RealtimePipeline& pipeline) {
+void draw(double now, const std::vector<core::TagRead>& window,
+          const core::BreathMonitor& monitor) {
   std::printf("\n==== TagBreathe dashboard @ t = %5.1f s ====\n", now);
-  // Ascending user order — the pipeline's explicit ordering contract,
-  // so the dashboard rows never depend on registry layout.
-  pipeline.for_each_latest_ordered([&](std::uint64_t user,
-                                       const core::UserAnalysis& a) {
+  // analyze() returns users in ascending id order, so the dashboard rows
+  // never depend on registry layout.
+  for (const core::UserAnalysis& a : monitor.analyze(window)) {
     // Trailing 30 s of the breath waveform as a sparkline.
     std::vector<double> tail;
     for (const auto& s : a.breath.samples)
@@ -36,13 +39,13 @@ void draw(double now, const core::RealtimePipeline& pipeline) {
     const auto stats = core::analyze_breaths(a.breath.samples, a.rate);
 
     std::printf("user %llu  %5.1f bpm %s | antenna %u | %4.0f reads | ",
-                static_cast<unsigned long long>(user), a.rate.rate_bpm,
+                static_cast<unsigned long long>(a.user_id), a.rate.rate_bpm,
                 a.rate.reliable ? " " : "?", a.antenna_used,
                 static_cast<double>(a.reads_used));
     std::printf("CV %.2f %s\n", stats.interval_cv,
                 core::is_irregular(stats) ? "(irregular)" : "");
     std::printf("  %s\n", common::sparkline(tail).c_str());
-  });
+  }
 }
 
 }  // namespace
@@ -74,25 +77,32 @@ int main(int argc, char** argv) {
   obs::Observability hub;
   pipeline.bind_observability(hub);
 
+  const core::BreathMonitor monitor(pcfg.monitor);
+  std::vector<core::TagRead> window;
   double next_draw = 20.0;
   scenario.reader().run(scene.duration_s, [&](const core::TagRead& read) {
     pipeline.push(read);
+    window.push_back(read);
     if (read.time_s >= next_draw) {
-      draw(read.time_s, pipeline);
+      std::erase_if(window, [&](const core::TagRead& r) {
+        return r.time_s < read.time_s - pcfg.window_s;
+      });
+      draw(read.time_s, window, monitor);
       next_draw += 20.0;
     }
   });
 
   std::printf("\nfinal state:\n");
   common::ConsoleTable table({"user", "rate [bpm]", "true (final) [bpm]"});
-  pipeline.for_each_latest_ordered(
-      [&](std::uint64_t user, const core::UserAnalysis& a) {
-        const double truth =
-            scenario.subject(user - 1).breathing().schedule().rate_bpm_at(
-                scene.duration_s);
-        table.add_row({std::to_string(user), common::fmt(a.rate.rate_bpm, 1),
-                       common::fmt(truth, 1)});
-      });
+  for (std::uint64_t user = 1; user <= scene.users.size(); ++user) {
+    const core::RateSummary* summary = pipeline.rate_summary(user);
+    if (summary == nullptr) continue;
+    const double truth =
+        scenario.subject(user - 1).breathing().schedule().rate_bpm_at(
+            scene.duration_s);
+    table.add_row({std::to_string(user), common::fmt(summary->rate_bpm, 1),
+                   common::fmt(truth, 1)});
+  }
   table.print();
 
   // The scrape a /metrics endpoint would serve.

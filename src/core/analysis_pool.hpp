@@ -2,7 +2,7 @@
 //
 // The realtime engine re-runs the Fig. 10 workflow for every tracked
 // user once per update tick; the per-user analyses are independent
-// (BreathMonitor::analyze_user is const over a const demux), so they
+// (BreathMonitor::analyze_users is const over a const demux), so they
 // parallelise embarrassingly. The pool owns N persistent threads; the
 // caller participates too, so `run` uses N+1 execution slots. Work is
 // claimed from a shared atomic index (dynamic load balancing — user

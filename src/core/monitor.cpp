@@ -10,17 +10,6 @@ namespace tagbreathe::core {
 
 namespace {
 
-/// Emits the "monitor.analyze" Exit event on every return path.
-struct AnalyzeTraceGuard {
-  obs::Observability* hub;
-  std::uint16_t stage;
-  double t1;
-  std::uint64_t user_id;
-  ~AnalyzeTraceGuard() {
-    if (hub != nullptr) hub->trace().exit(stage, t1, user_id);
-  }
-};
-
 /// Fills `times` with the in-window read times of `streams`, ascending.
 /// Each stream normally holds its reads in time order, so the gather
 /// leaves one sorted run per stream and the runs are merged pairwise
@@ -217,31 +206,7 @@ UserAnalysis BreathMonitor::analyze_user(const StreamDemux& demux,
                                          double t1,
                                          AnalysisScratch* scratch) const {
   UserAnalysis out;
-  AnalysisScratch local;
-  AnalysisScratch& s = scratch != nullptr ? *scratch : local;
-  AnalyzeTraceGuard trace_guard{obs_.hub, obs_.trace_stage, t1, user_id};
-
-  double stage_mark = 0.0;
-  if (!analyze_prepare(demux, user_id, t0, t1, s, out, stage_mark))
-    return out;
-  const auto time_stage = [&](obs::Histogram* h) {
-    if (obs_.hub == nullptr) return;
-    const double now = obs_.hub->now();
-    h->observe(now - stage_mark);
-    stage_mark = now;
-  };
-
-  // Breath-signal extraction + rate estimation. A one-job batch through
-  // extract_many — the same code path the batched engine takes, so
-  // single and batched analyses are bit-identical.
-  const BreathExtractor extractor(config_.extractor);
-  const ExtractJob job{out.fused_track, out.track_rate_hz, &out.breath};
-  extractor.extract_many({&job, 1}, s.fft, s.extract);
-  time_stage(obs_.extract);
-
-  const ZeroCrossingRateEstimator estimator(config_.rate);
-  out.rate = estimator.estimate(out.breath.samples);
-  time_stage(obs_.estimate);
+  analyze_users(demux, {&user_id, 1}, t0, t1, scratch, {&out, 1});
   return out;
 }
 
@@ -260,7 +225,7 @@ void BreathMonitor::analyze_users(const StreamDemux& demux,
 
   // Stage A (per user): the pre-extraction workflow; ready fused tracks
   // are staged as extraction jobs. Users that cannot be extracted finish
-  // here (their trace span closes immediately, like the single path).
+  // here (their trace span closes immediately).
   s.extract_jobs.clear();
   double stage_mark = 0.0;
   for (std::size_t j = 0; j < count; ++j) {

@@ -59,38 +59,6 @@ struct MonitorConfig {
   double max_gap_for_ok_s = 3.0;
 };
 
-/// Per-worker scratch for the analysis hot path. The parallel engine
-/// keeps one per pool slot so the FFT filter runs through a warm,
-/// allocation-free workspace; passing nullptr makes analyze_user
-/// allocate a throwaway workspace (the legacy behaviour).
-///
-/// Cache-line aligned: slots live side by side in the pool's scratch
-/// array and are written by different worker threads, so the 64-byte
-/// alignment keeps two slots from sharing a line (false sharing).
-struct alignas(64) AnalysisScratch {
-  signal::FftWorkspace fft;
-  /// Staging for the batched extract_many sweep.
-  ExtractScratch extract;
-  /// Pooled preprocessor, reconfigure()d per stream — reuses its
-  /// channel-table and staging capacity across every stream analysed
-  /// from this slot.
-  PhasePreprocessor pre;
-  /// Per-stream delta staging; the first working.size() entries are
-  /// live for the user currently being prepared.
-  std::vector<std::vector<signal::TimedSample>> deltas;
-  /// Extraction jobs staged across one analyze_users batch.
-  std::vector<ExtractJob> extract_jobs;
-  /// Signal-health staging: the in-window read times of the user being
-  /// prepared, across all of its streams, ascending. Gathered as one
-  /// time-ordered run per stream (`run_ends` marks where each ends) and
-  /// merged through `merge_spare`, which trades places with
-  /// `read_times` on every merge pass. All three keep their high-water
-  /// capacity, so a warm scan allocates nothing.
-  std::vector<double> read_times;
-  std::vector<double> merge_spare;
-  std::vector<std::size_t> run_ends;
-};
-
 /// Everything TagBreathe derives for one user from one window.
 struct UserAnalysis {
   std::uint64_t user_id = 0;
@@ -126,6 +94,42 @@ struct UserAnalysis {
   std::vector<AntennaQuality> antenna_scores;
 };
 
+/// Per-worker scratch for the analysis hot path. The parallel engine
+/// keeps one per pool slot so the FFT filter runs through a warm,
+/// allocation-free workspace; passing nullptr makes analyze_users
+/// allocate a throwaway workspace.
+///
+/// Cache-line aligned: slots live side by side in the pool's scratch
+/// array and are written by different worker threads, so the 64-byte
+/// alignment keeps two slots from sharing a line (false sharing).
+struct alignas(64) AnalysisScratch {
+  signal::FftWorkspace fft;
+  /// Staging for the batched extract_many sweep.
+  ExtractScratch extract;
+  /// Pooled preprocessor, reconfigure()d per stream — reuses its
+  /// channel-table and staging capacity across every stream analysed
+  /// from this slot.
+  PhasePreprocessor pre;
+  /// Per-stream delta staging; the first working.size() entries are
+  /// live for the user currently being prepared.
+  std::vector<std::vector<signal::TimedSample>> deltas;
+  /// Extraction jobs staged across one analyze_users batch.
+  std::vector<ExtractJob> extract_jobs;
+  /// Signal-health staging: the in-window read times of the user being
+  /// prepared, across all of its streams, ascending. Gathered as one
+  /// time-ordered run per stream (`run_ends` marks where each ends) and
+  /// merged through `merge_spare`, which trades places with
+  /// `read_times` on every merge pass. All three keep their high-water
+  /// capacity, so a warm scan allocates nothing.
+  std::vector<double> read_times;
+  std::vector<double> merge_spare;
+  std::vector<std::size_t> run_ends;
+  /// One analysis batch of the realtime pipeline: the users it analyses
+  /// and their full analyses, live only until the batch is reduced.
+  std::vector<std::uint64_t> ids;
+  std::vector<UserAnalysis> analyses;
+};
+
 class BreathMonitor {
  public:
   explicit BreathMonitor(MonitorConfig config = {});
@@ -133,10 +137,9 @@ class BreathMonitor {
   /// Analyses a window of reads for every monitored user present.
   std::vector<UserAnalysis> analyze(std::span<const TagRead> reads) const;
 
-  /// Analyses one user from an already-demuxed window spanning [t0, t1].
-  /// Thread-safe: may run concurrently for different users over a demux
-  /// nobody is mutating. `scratch` (optional) carries the per-worker
-  /// FFT workspace reused across calls.
+  /// Analyses one user from an already-demuxed window spanning [t0, t1]:
+  /// a one-user analyze_users batch. `scratch` (optional) carries the
+  /// per-worker FFT workspace reused across calls.
   UserAnalysis analyze_user(const StreamDemux& demux, std::uint64_t user_id,
                             double t0, double t1,
                             AnalysisScratch* scratch = nullptr) const;
@@ -146,9 +149,9 @@ class BreathMonitor {
   /// ready fused track in ONE extract_many sweep, so the batch's
   /// transforms march through the shared FFT plan back to back with one
   /// plan-cache hit per size. `out.size()` must equal `user_ids.size()`;
-  /// each slot is overwritten. Results are bit-identical to per-user
-  /// analyze_user calls — the batched and single paths share every
-  /// arithmetic code path. Thread-safe for distinct scratches.
+  /// each slot is overwritten. Each user's result is bit-identical
+  /// whatever batch it is analysed in. Thread-safe for distinct
+  /// scratches over a demux nobody is mutating.
   void analyze_users(const StreamDemux& demux,
                      std::span<const std::uint64_t> user_ids, double t0,
                      double t1, AnalysisScratch* scratch,
@@ -159,18 +162,18 @@ class BreathMonitor {
   /// Registers per-stage latency histograms
   /// (analysis_stage_seconds{stage=preprocess|fuse|extract|estimate})
   /// and a "monitor.analyze" trace stage on `hub`. Registration may
-  /// allocate; the instrumented analyze_user path does not. Durations
+  /// allocate; the instrumented analysis path does not. Durations
   /// come from the hub's latency clock; trace events are stamped with
   /// the window-end stream time.
   void bind_observability(obs::Observability& hub);
 
  private:
-  /// Shared front half of analyze_user/analyze_users: resets `out`,
-  /// emits the trace Enter, runs health scan, antenna selection,
-  /// preprocessing and fusion. Returns true when the fused track is
-  /// long enough for extraction; `stage_mark` carries the hub-time at
-  /// the fuse boundary so callers can continue the stage clock chain.
-  /// Does NOT emit the trace Exit — callers do, on every path.
+  /// Front half of analyze_users for one user: resets `out`, emits the
+  /// trace Enter, runs health scan, antenna selection, preprocessing and
+  /// fusion. Returns true when the fused track is long enough for
+  /// extraction; `stage_mark` carries the hub-time at the fuse boundary
+  /// so the caller can continue the stage clock chain. Does NOT emit the
+  /// trace Exit — the caller does, on every path.
   bool analyze_prepare(const StreamDemux& demux, std::uint64_t user_id,
                        double t0, double t1, AnalysisScratch& scratch,
                        UserAnalysis& out, double& stage_mark) const;
@@ -178,7 +181,7 @@ class BreathMonitor {
   MonitorConfig config_;
 
   // Null until bind_observability; `hub` is the is-bound sentinel.
-  // Updated from concurrent analyze_user calls — instruments are atomic,
+  // Updated from concurrent analyze_users calls — instruments are atomic,
   // the trace ring takes its own short lock.
   struct Instruments {
     obs::Observability* hub = nullptr;

@@ -11,6 +11,15 @@
 
 namespace tagbreathe::core {
 
+namespace {
+
+/// Users per analyze_users batch in the update fan-out: each batch's
+/// transforms share one extract_many sweep on one warm slot scratch.
+/// Results do not depend on it (analyze_users is batch-invariant).
+constexpr std::size_t kAnalysisBatch = 16;
+
+}  // namespace
+
 const char* pipeline_event_name(PipelineEventKind kind) noexcept {
   // Total over the underlying type: an out-of-range value (a corrupted
   // byte reinterpreted as an event kind) names itself rather than
@@ -49,6 +58,12 @@ RealtimePipeline::RealtimePipeline(PipelineConfig config,
       callback_(std::move(callback)),
       monitor_(config.monitor) {
   config_.validate();
+  // A coasting user was read within signal_loss_s, and that read came
+  // before its analysis tick (a later read forces a re-analysis), so it
+  // coasts on at most this many grid ticks. Stepped like advance_to.
+  for (double t = config_.update_period_s; t <= config_.signal_loss_s;
+       t += config_.update_period_s)
+    ++coast_ticks_;
   demux_.set_max_reads_per_stream(config_.max_reads_per_stream);
   if (config_.analysis_threads > 0)
     pool_ = std::make_unique<AnalysisPool>(config_.analysis_threads);
@@ -109,10 +124,6 @@ SignalHealth RealtimePipeline::health(std::uint64_t user_id) const noexcept {
 
 void RealtimePipeline::forget_user(std::uint64_t user_id) {
   user_state_.erase(user_id);
-  if (const common::SlabHandle* handle = latest_.find(user_id)) {
-    latest_arena_.release(*handle);
-    latest_.erase(user_id);
-  }
   last_seen_reads_.erase(user_id);
   demux_.drop_user(user_id);
 }
@@ -192,15 +203,14 @@ void RealtimePipeline::import_state(PipelineState state) {
   for (const PipelineState::User& u : state.users) {
     user_state_[u.user_id] =
         UserState{u.last_read_s, u.last_crossing_s, u.in_apnea,
-                  u.lost,        u.ever_reliable,   u.health};
+                  u.lost,        u.ever_reliable,   u.health, 0, {}};
   }
   last_seen_reads_.clear();
   for (const auto& [user, seen] : state.last_seen_reads)
     last_seen_reads_[user] = seen;
-  // Derived data is rebuilt, not restored: the first post-restore tick
-  // re-analyses every user from the restored demux window.
-  latest_.clear();
-  latest_arena_.clear();
+  // Derived data is rebuilt, not restored: the restored records carry no
+  // rate summary, so the first post-restore tick re-analyses every user
+  // from the restored demux window.
   demux_.import_state(std::move(state.demux));
 }
 
@@ -259,6 +269,45 @@ void RealtimePipeline::update(double time_s) {
   obs_.hub->trace().exit(obs_.trace_stage, time_s, fanned_out);
 }
 
+void RealtimePipeline::summarize(const UserAnalysis& analysis,
+                                 double time_s, UserState& state) const {
+  RateSummary& summary = state.summary;
+  summary.health = analysis.health;
+  summary.reliable = analysis.rate.reliable;
+  summary.rate_bpm = analysis.rate.rate_bpm;
+  summary.emitted_bpm = analysis.rate.instantaneous.empty()
+                            ? analysis.rate.rate_bpm
+                            : analysis.rate.instantaneous.back().rate_bpm;
+  if (!analysis.rate.crossings.empty())
+    state.last_crossing_s = analysis.rate.crossings.back().time_s;
+  state.coasted_ticks = 0;
+
+  // The apnea amplitude scan, once for the analysis tick and once for
+  // every tick the user may coast on. Breath samples ascend in time and
+  // so do the recent-window starts, so one pass drops each sample into
+  // the newest window that holds it; a suffix max then folds each
+  // window into every older (longer) one.
+  std::vector<double>& peaks = summary.recent_peaks;
+  peaks.assign(coast_ticks_ + 1, 0.0);
+  summary.window_peak = 0.0;
+  double tick = time_s;
+  std::size_t k = 0;
+  for (const signal::TimedSample& s : analysis.breath.samples) {
+    const double v = std::abs(s.value);
+    summary.window_peak = std::max(summary.window_peak, v);
+    if (s.time_s < time_s - config_.apnea_silence_s) continue;
+    while (k < coast_ticks_ &&
+           s.time_s >= (tick + config_.update_period_s) -
+                           config_.apnea_silence_s) {
+      tick += config_.update_period_s;
+      ++k;
+    }
+    peaks[k] = std::max(peaks[k], v);
+  }
+  for (std::size_t j = coast_ticks_; j-- > 0;)
+    peaks[j] = std::max(peaks[j], peaks[j + 1]);
+}
+
 void RealtimePipeline::run_update(double time_s) {
   const double t0 = std::max(start_, time_s - config_.window_s);
   demux_.evict_before(t0 - 1.0);  // keep a small margin beyond the window
@@ -271,20 +320,14 @@ void RealtimePipeline::run_update(double time_s) {
   // Phase 1 (serial): decide per user whether this tick needs a
   // re-analysis. Lost users skip analysis as before; with dirty-window
   // tracking enabled, users whose streams saw no new reads since their
-  // last analysis coast on the cached result. Both rules depend only on
+  // last analysis coast on its rate summary. Both rules depend only on
   // the data, never on thread count.
-  struct TickSlot {
-    bool lost_now = false;
-    bool analyse = false;
-    std::uint64_t reads_seen = 0;
-  };
-  std::vector<TickSlot> ticks(n_users);
-  std::vector<std::size_t> to_analyse;
-  to_analyse.reserve(n_users);
+  ticks_.assign(n_users, TickSlot{});
+  to_analyse_.clear();
   for (std::size_t i = 0; i < n_users; ++i) {
     const std::uint64_t user = users[i];
     UserState& state = user_state_[user];
-    TickSlot& tick = ticks[i];
+    TickSlot& tick = ticks_[i];
     tick.lost_now = state.last_read_s >= 0.0 &&
                     time_s - state.last_read_s > config_.signal_loss_s;
     if (tick.lost_now) continue;
@@ -293,50 +336,56 @@ void RealtimePipeline::run_update(double time_s) {
     if (config_.skip_clean_users) {
       const std::uint64_t* seen = last_seen_reads_.find(user);
       if (seen != nullptr && *seen == tick.reads_seen &&
-          latest_.contains(user)) {
+          !state.summary.recent_peaks.empty()) {
         tick.analyse = false;
         ++analyses_skipped_;
       }
     }
-    if (tick.analyse) to_analyse.push_back(i);
+    if (tick.analyse) to_analyse_.push_back(i);
   }
 
   // Phase 2 (parallel): the expensive Fig. 10 re-analysis, fanned out
-  // across the pool in chunks of analysis_batch users. Each chunk runs
-  // as ONE BreathMonitor::analyze_users call so its extractions share a
-  // batched transform sweep. Workers read the demux (const, nobody
-  // mutating) and write only their own chunk's result slots, so the
-  // fan-out is race-free; each slot carries its own scratch arena.
-  std::vector<UserAnalysis> results(n_users);
-  const std::size_t batch = std::max<std::size_t>(config_.analysis_batch, 1);
-  const std::size_t n_chunks = (to_analyse.size() + batch - 1) / batch;
+  // across the pool in batches of kAnalysisBatch users. Each batch runs
+  // as ONE BreathMonitor::analyze_users call into its slot's scratch,
+  // so its extractions share a transform sweep, and is reduced to rate
+  // summaries before the slot takes its next batch. Workers read the
+  // demux (const, nobody mutating) and write only their own users'
+  // records, which phase 1 already created, so the fan-out is race-free.
+  const std::size_t n_chunks =
+      (to_analyse_.size() + kAnalysisBatch - 1) / kAnalysisBatch;
   const auto analyse_chunk = [&](std::size_t c, std::size_t slot) {
-    const std::size_t begin = c * batch;
-    const std::size_t end = std::min(begin + batch, to_analyse.size());
-    std::vector<std::uint64_t> ids(end - begin);
-    std::vector<UserAnalysis> chunk(end - begin);
-    for (std::size_t k = 0; k < ids.size(); ++k)
-      ids[k] = users[to_analyse[begin + k]];
-    monitor_.analyze_users(demux_, ids, t0, time_s, &scratch_[slot], chunk);
-    for (std::size_t k = 0; k < ids.size(); ++k)
-      results[to_analyse[begin + k]] = std::move(chunk[k]);
+    AnalysisScratch& scratch = scratch_[slot];
+    const std::size_t begin = c * kAnalysisBatch;
+    const std::size_t end =
+        std::min(begin + kAnalysisBatch, to_analyse_.size());
+    scratch.ids.clear();
+    for (std::size_t k = begin; k < end; ++k)
+      scratch.ids.push_back(users[to_analyse_[k]]);
+    scratch.analyses.resize(scratch.ids.size());
+    monitor_.analyze_users(demux_, scratch.ids, t0, time_s, &scratch,
+                           scratch.analyses);
+    for (std::size_t k = 0; k < scratch.ids.size(); ++k)
+      summarize(scratch.analyses[k], time_s,
+                *user_state_.find(scratch.ids[k]));
+    scratch.analyses.clear();
   };
   if (pool_ != nullptr) {
     pool_->run(n_chunks, analyse_chunk);
   } else {
     for (std::size_t c = 0; c < n_chunks; ++c) analyse_chunk(c, 0);
   }
-  analyses_run_ += to_analyse.size();
+  analyses_run_ += to_analyse_.size();
 
-  // Phase 3 (serial, ascending user id): the event state machine,
-  // consuming the gathered results in user-id order so the event log is
+  // Phase 3 (serial, ascending user id): the event state machine over
+  // the rate summaries, in user-id order so the event log is
   // byte-identical to the serial engine's.
   for (std::size_t i = 0; i < n_users; ++i) {
     const std::uint64_t user = users[i];
     UserState& state = user_state_[user];
+    RateSummary& summary = state.summary;
 
     // Signal-loss detection runs even when analysis cannot.
-    const bool lost_now = ticks[i].lost_now;
+    const bool lost_now = ticks_[i].lost_now;
     if (lost_now && !state.lost) {
       state.lost = true;
       state.health = SignalHealth::Lost;
@@ -348,43 +397,27 @@ void RealtimePipeline::run_update(double time_s) {
                          0.0, false, state.health});
     }
     if (lost_now) {
-      // Keep the surfaced analysis honest while the user is dark: the
+      // Keep the surfaced summary honest while the user is dark: the
       // stale estimate stays visible but flagged Lost.
-      if (const common::SlabHandle* handle = latest_.find(user))
-        latest_arena_.at(*handle).health = SignalHealth::Lost;
+      summary.health = SignalHealth::Lost;
       continue;
     }
 
-    UserAnalysis analysis;
-    if (ticks[i].analyse) {
-      analysis = std::move(results[i]);
-    } else if (const common::SlabHandle* handle = latest_.find(user)) {
-      analysis = latest_arena_.at(*handle);
-    }
-    if (ticks[i].analyse) last_seen_reads_[user] = ticks[i].reads_seen;
-    state.health = analysis.health;
-    if (!analysis.rate.crossings.empty())
-      state.last_crossing_s = analysis.rate.crossings.back().time_s;
-
-    if (analysis.rate.reliable) state.ever_reliable = true;
+    if (ticks_[i].analyse)
+      last_seen_reads_[user] = ticks_[i].reads_seen;
+    else
+      ++state.coasted_ticks;
+    state.health = summary.health;
+    if (summary.reliable) state.ever_reliable = true;
 
     // Apnea: the user is being read but breathing stopped. Crossing
     // silence alone is not enough — the zero-phase filter rings into a
     // breath hold and can fabricate crossings — so additionally require
     // the *recent* breath-signal amplitude to have collapsed relative to
     // the window's amplitude.
-    bool amplitude_collapsed = false;
-    if (!analysis.breath.samples.empty()) {
-      double window_peak = 0.0, recent_peak = 0.0;
-      const double recent_from = time_s - config_.apnea_silence_s;
-      for (const auto& s : analysis.breath.samples) {
-        window_peak = std::max(window_peak, std::abs(s.value));
-        if (s.time_s >= recent_from)
-          recent_peak = std::max(recent_peak, std::abs(s.value));
-      }
-      amplitude_collapsed =
-          window_peak > 0.0 && recent_peak < 0.3 * window_peak;
-    }
+    const bool amplitude_collapsed =
+        summary.window_peak > 0.0 &&
+        summary.recent_peak(state.coasted_ticks) < 0.3 * summary.window_peak;
     const bool crossing_silent =
         state.last_crossing_s >= 0.0 &&
         time_s - state.last_crossing_s > config_.apnea_silence_s;
@@ -393,32 +426,30 @@ void RealtimePipeline::run_update(double time_s) {
     if (apnea_now && !state.in_apnea) {
       state.in_apnea = true;
       emit(PipelineEvent{PipelineEventKind::ApneaAlert, user, time_s, 0.0,
-                         false, analysis.health});
+                         false, summary.health});
     } else if (!apnea_now && state.in_apnea) {
       state.in_apnea = false;
     }
 
     if (!apnea_now) {
-      const double rate = analysis.rate.instantaneous.empty()
-                              ? analysis.rate.rate_bpm
-                              : analysis.rate.instantaneous.back().rate_bpm;
-      emit(PipelineEvent{PipelineEventKind::RateUpdate, user, time_s, rate,
-                         analysis.rate.reliable &&
-                             analysis.health == SignalHealth::Ok,
-                         analysis.health});
+      emit(PipelineEvent{PipelineEventKind::RateUpdate, user, time_s,
+                         summary.emitted_bpm,
+                         summary.reliable &&
+                             summary.health == SignalHealth::Ok,
+                         summary.health});
     }
-    common::SlabHandle& handle = latest_[user];
-    if (UserAnalysis* slot = latest_arena_.get(handle))
-      *slot = std::move(analysis);
-    else
-      handle = latest_arena_.emplace(std::move(analysis));
   }
 }
 
 std::size_t RealtimePipeline::footprint_bytes() const noexcept {
-  return demux_.footprint_bytes() + user_state_.table_bytes() +
-         latest_.table_bytes() + last_seen_reads_.table_bytes() +
-         latest_arena_.bytes_reserved();
+  std::size_t summaries = 0;
+  user_state_.for_each([&](const std::uint64_t&, const UserState& state) {
+    summaries += state.summary.recent_peaks.capacity() * sizeof(double);
+  });
+  return demux_.footprint_bytes() + user_state_.table_bytes() + summaries +
+         last_seen_reads_.table_bytes() +
+         ticks_.capacity() * sizeof(TickSlot) +
+         to_analyse_.capacity() * sizeof(std::size_t);
 }
 
 }  // namespace tagbreathe::core

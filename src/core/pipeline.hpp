@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "common/slab_arena.hpp"
 #include "core/analysis_pool.hpp"
 #include "core/demux.hpp"
 #include "core/monitor.hpp"
@@ -37,8 +36,8 @@ struct PipelineConfig {
   /// No reads at all for this long => signal lost.
   double signal_loss_s = 5.0;
   /// Admission control: at most this many users are tracked at once;
-  /// adding one more evicts the least-recently-read user (state, latest
-  /// analysis and buffered reads). Caps memory against adversarial or
+  /// adding one more evicts the least-recently-read user (state, rate
+  /// summary and buffered reads). Caps memory against adversarial or
   /// corrupted EPC streams that mint new user IDs. 0 = unlimited.
   std::size_t max_users = 0;
   /// Per-(user, tag, antenna) cap on buffered reads, forwarded to the
@@ -52,20 +51,11 @@ struct PipelineConfig {
   std::size_t analysis_threads = 0;
   /// Dirty-window tracking: skip re-analysis of users whose streams
   /// received no new reads since their last analysis; they coast on the
-  /// cached UserAnalysis (rate/health frozen) until data resumes or the
-  /// signal-loss detector fires. Purely data-dependent, so determinism
-  /// across thread counts is unaffected. Default off: the legacy engine
-  /// re-analyses every user every tick.
+  /// RateSummary of that analysis (rate/health frozen) until data
+  /// resumes or the signal-loss detector fires. Purely data-dependent,
+  /// so determinism across thread counts is unaffected. Default off:
+  /// every user is re-analysed every tick.
   bool skip_clean_users = false;
-  /// Users per batched BreathMonitor::analyze_users call in the update
-  /// tick fan-out. Every user in a chunk runs its transforms through one
-  /// extract_many sweep (shared FFT plan, one plan-cache hit per size)
-  /// on one warm per-slot scratch. Chunks — not individual users — are
-  /// the work items handed to the analysis pool. Results are
-  /// bit-identical for any batch size (batched and single analysis share
-  /// every arithmetic path), so the event stream does not depend on this
-  /// knob. 0 or 1 = one user per call (the legacy fan-out shape).
-  std::size_t analysis_batch = 16;
 
   /// Throws std::invalid_argument on nonsensical values (non-positive
   /// window or update period, negative warm-up, warm-up beyond the
@@ -97,10 +87,36 @@ struct PipelineEvent {
   SignalHealth health = SignalHealth::Ok;
 };
 
+/// What the event state machine reads of one analysis. The pipeline
+/// keeps this per user instead of the UserAnalysis it came from.
+struct RateSummary {
+  SignalHealth health = SignalHealth::Lost;
+  /// The estimator's reliable flag (UserAnalysis::rate.reliable).
+  bool reliable = false;
+  /// Window-average rate (Eq. 5 over the window) [bpm].
+  double rate_bpm = 0.0;
+  /// Rate a RateUpdate carries: the newest instantaneous rate, else the
+  /// window average [bpm].
+  double emitted_bpm = 0.0;
+  /// Largest |breath signal| over the window.
+  double window_peak = 0.0;
+  /// recent_peaks[k]: largest |breath signal| at or after
+  /// tick_k - apnea_silence_s, where tick_0 is the analysis tick and
+  /// tick_k the k-th grid tick after it. One entry per tick the user can
+  /// coast on before signal loss fires, so the apnea check keeps moving
+  /// with the clock while the samples are gone. Empty = no summary yet.
+  std::vector<double> recent_peaks;
+
+  /// Peak for the k-th tick after the analysis. Past the stored ticks
+  /// the pipeline's coasting invariant is broken: throws
+  /// std::out_of_range rather than guess.
+  double recent_peak(std::size_t k) const { return recent_peaks.at(k); }
+};
+
 /// Serializable image of a pipeline (core/snapshot): the stream clock,
 /// the per-user event state machine, dirty-window bookkeeping and the
-/// buffered demux window. The latest per-user analyses are *not* part
-/// of the state — they are derived data, recomputed at the first update
+/// buffered demux window. The per-user rate summaries are *not* part of
+/// the state — they are derived data, recomputed at the first update
 /// tick after a restore.
 struct PipelineState {
   struct User {
@@ -145,32 +161,20 @@ class RealtimePipeline {
   /// read. Without this, the grid anchors to each shard's first push.
   void start_at(double t0);
 
-  /// Most recent analysis of one user; null before warm-up or for
-  /// unknown users. The pointer stays valid until the user's next
-  /// analysis, eviction, or an import (slab slots never move).
-  const UserAnalysis* latest_analysis(std::uint64_t user_id) const noexcept {
-    const common::SlabHandle* handle = latest_.find(user_id);
-    return handle == nullptr ? nullptr : latest_arena_.get(*handle);
-  }
-  /// Users with a cached analysis (0 before warm-up).
-  std::size_t latest_size() const noexcept { return latest_.size(); }
-  /// Visits (user_id, analysis) ascending by user id — the explicit
-  /// ordering contract (ISSUE 10) that replaces iterating the std::map
-  /// `latest()` used to expose. Dashboards and renderers that show all
-  /// users go through this so their output order cannot depend on the
-  /// registry's hash layout.
-  template <typename F>
-  void for_each_latest_ordered(F&& fn) const {
-    latest_.for_each_ordered(
-        [&](const std::uint64_t& user, const common::SlabHandle& handle) {
-          fn(user, latest_arena_.at(handle));
-        });
+  /// Summary of one user's most recent analysis; null before warm-up,
+  /// after an import, or for unknown users. Valid until the next push,
+  /// tick or eviction (the registry moves its records).
+  const RateSummary* rate_summary(std::uint64_t user_id) const noexcept {
+    const UserState* state = user_state_.find(user_id);
+    return state == nullptr || state->summary.recent_peaks.empty()
+               ? nullptr
+               : &state->summary;
   }
 
   /// Current signal condition of a user (Lost for unknown users).
   SignalHealth health(std::uint64_t user_id) const noexcept;
 
-  /// Drops every trace of one user: tracking state, latest analysis and
+  /// Drops every trace of one user: tracking state, rate summary and
   /// buffered reads. Admission layers call this when they evict a user.
   void forget_user(std::uint64_t user_id);
 
@@ -219,23 +223,19 @@ class RealtimePipeline {
 
   // --- capacity accounting (ISSUE 10) --------------------------------------
   /// Resident bytes attributable to per-user state: demux streams and
-  /// registry, tracking/analysis registries, and the analysis arena.
-  /// O(streams); call at tick cadence, not per read.
+  /// registry, the per-user records with their rate summaries, the
+  /// dirty-window registry and the per-tick staging. O(users + streams);
+  /// call at tick cadence, not per read.
   std::size_t footprint_bytes() const noexcept;
-  /// Live / reserved occupancy of the latest-analysis arena.
-  double arena_occupancy() const noexcept { return latest_arena_.occupancy(); }
-  /// Free-list reuses across the pipeline's arenas (churn served
-  /// without an allocation).
-  std::size_t arena_reuses() const noexcept {
-    return latest_arena_.reuses() + demux_.arena_reuses();
-  }
   /// Longest probe chain across the pipeline's flat registries.
   std::size_t registry_max_probe() const noexcept {
     return std::max({user_state_.max_probe_length(),
-                     latest_.max_probe_length(),
                      last_seen_reads_.max_probe_length(),
                      demux_.registry_max_probe()});
   }
+  /// The buffered read window (its arena occupancy is the
+  /// capacity_arena_occupancy gauge).
+  const StreamDemux& demux() const noexcept { return demux_; }
 
  private:
   void update(double time_s);
@@ -259,14 +259,30 @@ class RealtimePipeline {
     bool lost = false;
     bool ever_reliable = false;
     SignalHealth health = SignalHealth::Lost;
+    /// Grid ticks coasted since the summary's analysis tick.
+    std::size_t coasted_ticks = 0;
+    RateSummary summary;
   };
   common::FlatUserMap<UserState> user_state_;
-  /// Latest analyses live in a slab arena; the registry maps user id to
-  /// a generation-tagged handle (8 B), so registry churn never moves an
-  /// analysis and eviction recycles slots instead of freeing them.
-  common::FlatUserMap<common::SlabHandle> latest_;
-  common::SlabArena<UserAnalysis> latest_arena_;
   std::size_t users_evicted_ = 0;
+  /// Grid ticks after an analysis on which a user can still coast (see
+  /// RateSummary::recent_peaks); fixed by the config.
+  std::size_t coast_ticks_ = 0;
+
+  /// Per-tick staging, reused across ticks: one slot per demux user, and
+  /// the indices of the users this tick re-analyses.
+  struct TickSlot {
+    bool lost_now = false;
+    bool analyse = false;
+    std::uint64_t reads_seen = 0;
+  };
+  std::vector<TickSlot> ticks_;
+  std::vector<std::size_t> to_analyse_;
+
+  /// Reduces one analysis made at tick `time_s` into `state`: its rate
+  /// summary and last crossing time.
+  void summarize(const UserAnalysis& analysis, double time_s,
+                 UserState& state) const;
 
   /// Parallel analysis engine (null when analysis_threads == 0) and the
   /// per-slot scratch arenas (slot 0 = the pipeline's own thread).

@@ -545,11 +545,11 @@ TEST(ReaderFleet, ParkRestoreChurnConvergesWithUninterruptedGoldenRun) {
       fleet.offer(0, breath_read(t, burst ? 2 : 1));
       fleet.pump(t);
     }
-    const core::UserAnalysis* final_analysis =
-        fleet.shard_pipeline(0).latest_analysis(1);
-    EXPECT_NE(final_analysis, nullptr);
-    if (final_analysis != nullptr) {
-      result.final_rate = final_analysis->rate.rate_bpm;
+    const core::RateSummary* final_summary =
+        fleet.shard_pipeline(0).rate_summary(1);
+    EXPECT_NE(final_summary, nullptr);
+    if (final_summary != nullptr) {
+      result.final_rate = final_summary->rate_bpm;
     }
     result.parked = fleet.counters().users_parked;
     result.restored = fleet.counters().users_restored;

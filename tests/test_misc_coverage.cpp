@@ -96,7 +96,7 @@ TEST(ReaderStats, ConstructionValidation) {
 TEST(PipelineEdges, AdvanceBeforeAnyReadIsNoop) {
   core::RealtimePipeline pipeline(core::PipelineConfig{}, nullptr);
   pipeline.advance_to(100.0);  // no reads yet: must not crash or emit
-  EXPECT_EQ(pipeline.latest_size(), 0u);
+  EXPECT_EQ(pipeline.tracked_users(), 0u);
   EXPECT_DOUBLE_EQ(pipeline.now_s(), 0.0);
 }
 

@@ -326,10 +326,10 @@ SampledRun run_monitored(const FaultPlan& faults, double duration_s) {
     session.advance(1.0);
     pipeline.advance_to(session.now_s());
     if (step + 1 < 16) continue;  // pipeline warm-up
-    const core::UserAnalysis* a = pipeline.latest_analysis(1);
-    const bool ok = a != nullptr && a->health == core::SignalHealth::Ok &&
-                    a->rate.reliable;
-    out.rate_bpm.push_back(a == nullptr ? 0.0 : a->rate.rate_bpm);
+    const core::RateSummary* a = pipeline.rate_summary(1);
+    const bool ok =
+        a != nullptr && a->health == core::SignalHealth::Ok && a->reliable;
+    out.rate_bpm.push_back(a == nullptr ? 0.0 : a->rate_bpm);
     out.healthy.push_back(ok ? 1 : 0);
     if (!ok) ++out.flagged;
   }
