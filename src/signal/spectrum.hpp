@@ -78,8 +78,8 @@ double dominant_frequency_whitened(std::span<const double> x,
                                    WindowType window = WindowType::Hann);
 
 /// Short-time Fourier transform magnitude (spectrogram): one one-sided
-/// power spectrum per hop. Used by rate-trajectory analysis to follow a
-/// breathing rate that changes over the recording.
+/// power spectrum per hop, to follow a breathing rate that changes over
+/// the recording.
 struct Spectrogram {
   /// frames[t][k] = power of bin k in frame t.
   std::vector<std::vector<double>> frames;

@@ -1,11 +1,9 @@
-// Unit tests: interpolation/resampling, zero-crossing detection, peak
-// detection.
+// Unit tests: interpolation/resampling and zero-crossing detection.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "signal/interpolate.hpp"
-#include "signal/peaks.hpp"
 #include "signal/zero_crossing.hpp"
 
 namespace tagbreathe::signal {
@@ -136,46 +134,6 @@ TEST(ZeroCrossing, HysteresisFromPeak) {
 TEST(ZeroCrossing, EmptyAndShortInputs) {
   EXPECT_TRUE(detect_zero_crossings(std::vector<double>{}, 10.0).empty());
   EXPECT_TRUE(detect_zero_crossings(std::vector<double>{1.0}, 10.0).empty());
-}
-
-// --- peaks -----------------------------------------------------------------------
-
-TEST(Peaks, FindsLocalMaxima) {
-  std::vector<double> x{0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0};
-  const auto peaks = find_peaks(x);
-  ASSERT_EQ(peaks.size(), 3u);
-  EXPECT_EQ(peaks[0].index, 1u);
-  EXPECT_EQ(peaks[1].index, 3u);
-  EXPECT_EQ(peaks[2].index, 5u);
-  EXPECT_DOUBLE_EQ(peaks[2].value, 3.0);
-}
-
-TEST(Peaks, MinDistanceKeepsTallest) {
-  std::vector<double> x{0.0, 1.0, 0.5, 2.0, 0.0};
-  const auto peaks = find_peaks(x, /*min_distance=*/3);
-  ASSERT_EQ(peaks.size(), 1u);
-  EXPECT_EQ(peaks[0].index, 3u);
-}
-
-TEST(Peaks, ProminenceFiltersShoulders) {
-  // A small bump riding on the flank of a big peak has low prominence.
-  std::vector<double> x{0.0, 5.0, 4.0, 4.2, 0.5, 0.0};
-  const auto all = find_peaks(x, 1, 0.0);
-  const auto prominent = find_peaks(x, 1, 1.0);
-  EXPECT_EQ(all.size(), 2u);
-  ASSERT_EQ(prominent.size(), 1u);
-  EXPECT_EQ(prominent[0].index, 1u);
-}
-
-TEST(Peaks, FlatTopCountsOnce) {
-  std::vector<double> x{0.0, 1.0, 1.0, 1.0, 0.0};
-  const auto peaks = find_peaks(x);
-  ASSERT_EQ(peaks.size(), 1u);
-  EXPECT_EQ(peaks[0].index, 2u);  // plateau centre
-}
-
-TEST(Peaks, ShortInput) {
-  EXPECT_TRUE(find_peaks(std::vector<double>{1.0, 2.0}).empty());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit + property tests: spectral analysis (periodogram, peak searches,
-// ACF fundamental, FFT band filters, Goertzel).
+// ACF fundamental, FFT band filters, Goertzel, STFT).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -319,6 +319,49 @@ TEST(BandPowerRatio, WhiteNoiseIsProportionalToBandwidth) {
   // [0, 10] Hz total; [1, 2] covers ~10%.
   const double r = band_power_ratio(x, 20.0, 1.0, 2.0);
   EXPECT_NEAR(r, 0.1, 0.04);
+}
+
+// --- STFT -------------------------------------------------------------------
+
+TEST(Stft, ShapesAndTimes) {
+  std::vector<double> x(1000, 0.0);
+  const auto spec = stft(x, 20.0, 256, 128);
+  ASSERT_FALSE(spec.frames.empty());
+  EXPECT_EQ(spec.frames.size(), spec.frame_times_s.size());
+  EXPECT_EQ(spec.frames[0].size(), spec.bin_frequencies_hz.size());
+  EXPECT_EQ(spec.frames[0].size(), 129u);  // 256/2 + 1
+  // Frame centres advance by hop / fs = 6.4 s.
+  EXPECT_NEAR(spec.frame_times_s[1] - spec.frame_times_s[0], 6.4, 1e-9);
+  EXPECT_NEAR(spec.frame_times_s[0], 6.4, 1e-9);  // segment/2 / fs
+}
+
+TEST(Stft, TracksFrequencyChange) {
+  // 2 Hz tone for the first half, 5 Hz for the second.
+  constexpr double fs = 40.0;
+  std::vector<double> x;
+  for (double t = 0.0; t < 30.0; t += 1.0 / fs)
+    x.push_back(std::sin(common::kTwoPi * (t < 15.0 ? 2.0 : 5.0) * t));
+  const auto spec = stft(x, fs, 256, 64);
+  ASSERT_GT(spec.frames.size(), 10u);
+
+  auto peak_freq = [&spec](std::size_t frame) {
+    std::size_t best = 1;
+    for (std::size_t k = 1; k < spec.frames[frame].size(); ++k)
+      if (spec.frames[frame][k] > spec.frames[frame][best]) best = k;
+    return spec.bin_frequencies_hz[best];
+  };
+  // An early frame sees 2 Hz; a late frame sees 5 Hz.
+  EXPECT_NEAR(peak_freq(1), 2.0, 0.3);
+  EXPECT_NEAR(peak_freq(spec.frames.size() - 2), 5.0, 0.3);
+}
+
+TEST(Stft, Validation) {
+  std::vector<double> x(100, 0.0);
+  EXPECT_THROW(stft(x, 20.0, 4, 2), std::invalid_argument);
+  EXPECT_THROW(stft(x, 20.0, 64, 0), std::invalid_argument);
+  EXPECT_THROW(stft(x, 20.0, 64, 128), std::invalid_argument);
+  EXPECT_TRUE(stft(std::vector<double>(10), 20.0, 64, 32)
+                  .frames.empty());
 }
 
 }  // namespace
