@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "core/chaos.hpp"
 #include "core/journal.hpp"
@@ -795,6 +796,27 @@ TEST(CrashSoak, EveryKillPointRecoversAndConverges) {
   }
 }
 
+// Chaos delivers reads out of order and in bursts, so it is the feed on
+// which the order of offers and pumps inside a drive step shows. Every
+// kill point must still recover and converge with the golden run.
+TEST(CrashSoak, ConvergesUnderCompositeChaos) {
+  for (std::size_t p = 0; p < kCrashPointCount; ++p) {
+    const CrashPoint point = static_cast<CrashPoint>(p);
+    TempDir dir(std::string("crash_chaos_") + std::to_string(p));
+    CrashSoakConfig cfg = crash_soak_config(dir, point);
+    cfg.soak.chaos = ChaosConfig::composite(0xC0FFEE);
+    const CrashSoakReport report = run_crash_soak(cfg);
+    EXPECT_TRUE(report.crashed) << crash_point_name(point);
+    EXPECT_TRUE(report.recovered) << crash_point_name(point);
+    EXPECT_EQ(report.compared_events, 126u) << crash_point_name(point);
+    EXPECT_EQ(report.golden_events, run_soak(cfg.soak).events)
+        << crash_point_name(point);
+    testutil::expect_no_violations(report.violations,
+                                   std::string(crash_point_name(point)) +
+                                       ": ");
+  }
+}
+
 TEST(CrashSoak, MidAppendCrashLeavesCountedTornTail) {
   TempDir dir("crash_torn");
   const CrashSoakReport report =
@@ -842,6 +864,38 @@ TEST(DurableSoak, CleanRunJournalsEveryAdmittedRead) {
             report.validation.admitted);
   EXPECT_GE(report.durability.snapshots_written, 2u);
   EXPECT_GT(report.durability.journal_commits, 0u);
+}
+
+// The durability layer must be invisible in the event stream: the
+// composite-chaos soak the ByteIdentity suite pins emits the same lines
+// through a DurableMonitor as through a bare front-end.
+TEST(DurableSoak, EventLogMatchesPlainSoak) {
+  for (const bool skip_clean : {false, true}) {
+    SoakConfig soak;
+    soak.n_users = 8;
+    soak.tags_per_user = 2;
+    soak.duration_s = 120.0;
+    soak.read_rate_hz = 8.0;
+    soak.chaos = ChaosConfig::composite(0xC0FFEE);
+    soak.ingest.max_users = 0;
+    for (std::uint64_t user = 1; user <= 8; ++user)
+      soak.ingest.monitored_users.push_back(user);
+    soak.pipeline.skip_clean_users = skip_clean;
+    TempDir dir(std::string("durable_vs_plain_") + (skip_clean ? "1" : "0"));
+    DurabilityConfig durability;
+    durability.directory = dir.str();
+    durability.snapshot.fsync = false;
+
+    const SoakReport plain = run_soak(soak);
+    const SoakReport durable = run_durable_soak(soak, durability);
+    testutil::expect_no_violations(durable.violations);
+    EXPECT_EQ(durable.event_log, plain.event_log);
+    EXPECT_EQ(durable.events, 848u);
+    std::uint64_t hash = common::kFnvOffset;
+    for (const std::string& line : durable.event_log)
+      hash = common::fnv1a_line(hash, line);
+    EXPECT_EQ(hash, skip_clean ? 0xe2b00ee9e8dd50b6ull : 0xcbfd80f95ec71b76ull);
+  }
 }
 
 // ---------------------------------------------------------------------------
