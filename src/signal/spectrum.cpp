@@ -43,78 +43,32 @@ std::vector<SpectrumBin> periodogram(std::span<const double> x,
   return bins;
 }
 
-namespace {
-
-double peak_search(const std::vector<SpectrumBin>& bins, double f_lo,
-                   double f_hi, bool whiten);
-
-}  // namespace
-
 double dominant_frequency(std::span<const double> x, double sample_rate_hz,
                           double f_lo, double f_hi, WindowType window) {
-  return peak_search(periodogram(x, sample_rate_hz, window), f_lo, f_hi,
-                     /*whiten=*/false);
-}
-
-double dominant_frequency_whitened(std::span<const double> x,
-                                   double sample_rate_hz, double f_lo,
-                                   double f_hi, WindowType window) {
-  return peak_search(periodogram(x, sample_rate_hz, window), f_lo, f_hi,
-                     /*whiten=*/true);
-}
-
-Spectrogram stft(std::span<const double> x, double sample_rate_hz,
-                 std::size_t segment, std::size_t hop, WindowType window) {
-  if (segment < 8) throw std::invalid_argument("stft: segment must be >= 8");
-  if (hop == 0 || hop > segment)
-    throw std::invalid_argument("stft: hop must be in [1, segment]");
-  Spectrogram out;
-  if (x.size() < segment) return out;
-
-  bool bins_done = false;
-  for (std::size_t start = 0; start + segment <= x.size(); start += hop) {
-    const auto bins =
-        periodogram(x.subspan(start, segment), sample_rate_hz, window);
-    if (!bins_done) {
-      out.bin_frequencies_hz.reserve(bins.size());
-      for (const auto& b : bins)
-        out.bin_frequencies_hz.push_back(b.frequency_hz);
-      bins_done = true;
+  const std::vector<SpectrumBin> bins = periodogram(x, sample_rate_hz, window);
+  std::size_t best = 0;
+  bool found = false;
+  for (std::size_t k = 0; k < bins.size(); ++k) {
+    if (bins[k].frequency_hz < f_lo || bins[k].frequency_hz > f_hi) continue;
+    if (!found || bins[k].power > bins[best].power) {
+      best = k;
+      found = true;
     }
-    std::vector<double> powers;
-    powers.reserve(bins.size());
-    for (const auto& b : bins) powers.push_back(b.power);
-    out.frames.push_back(std::move(powers));
-    out.frame_times_s.push_back(
-        (static_cast<double>(start) + static_cast<double>(segment) / 2.0) /
-        sample_rate_hz);
   }
-  return out;
-}
+  if (!found) return 0.0;
 
-std::vector<SpectrumBin> welch_psd(std::span<const double> x,
-                                   double sample_rate_hz,
-                                   std::size_t segment, WindowType window) {
-  if (segment < 8)
-    throw std::invalid_argument("welch_psd: segment must be >= 8");
-  if (x.size() <= segment) return periodogram(x, sample_rate_hz, window);
-
-  const std::size_t hop = segment / 2;  // 50% overlap
-  std::vector<SpectrumBin> avg;
-  std::size_t count = 0;
-  for (std::size_t start = 0; start + segment <= x.size(); start += hop) {
-    const auto bins =
-        periodogram(x.subspan(start, segment), sample_rate_hz, window);
-    if (avg.empty()) {
-      avg = bins;
-    } else {
-      for (std::size_t k = 0; k < avg.size(); ++k)
-        avg[k].power += bins[k].power;
-    }
-    ++count;
-  }
-  for (auto& b : avg) b.power /= static_cast<double>(count);
-  return avg;
+  // Quadratic (parabolic) interpolation around the peak bin to refine
+  // beyond the fs/N grid.
+  if (best == 0 || best + 1 >= bins.size()) return bins[best].frequency_hz;
+  const double p0 = bins[best - 1].power;
+  const double p1 = bins[best].power;
+  const double p2 = bins[best + 1].power;
+  const double denom = p0 - 2.0 * p1 + p2;
+  double delta = 0.0;
+  if (std::abs(denom) > 1e-30) delta = 0.5 * (p0 - p2) / denom;
+  delta = std::clamp(delta, -0.5, 0.5);
+  const double bin_width = bins[1].frequency_hz - bins[0].frequency_hz;
+  return bins[best].frequency_hz + delta * bin_width;
 }
 
 double autocorrelation_fundamental(std::span<const double> x,
@@ -311,39 +265,6 @@ double dominant_frequency_significant(std::span<const double> x,
   return bins[best].frequency_hz + delta * bin_width;
 }
 
-namespace {
-
-double peak_search(const std::vector<SpectrumBin>& bins, double f_lo,
-                   double f_hi, bool whiten) {
-  const auto weight = [whiten](const SpectrumBin& b) {
-    return whiten ? b.power * b.frequency_hz * b.frequency_hz : b.power;
-  };
-  std::size_t best = 0;
-  bool found = false;
-  for (std::size_t k = 0; k < bins.size(); ++k) {
-    if (bins[k].frequency_hz < f_lo || bins[k].frequency_hz > f_hi) continue;
-    if (!found || weight(bins[k]) > weight(bins[best])) {
-      best = k;
-      found = true;
-    }
-  }
-  if (!found) return 0.0;
-
-  // Quadratic (parabolic) interpolation around the peak bin to refine
-  // beyond the fs/N grid.
-  if (best == 0 || best + 1 >= bins.size()) return bins[best].frequency_hz;
-  const double p0 = bins[best - 1].power;
-  const double p1 = bins[best].power;
-  const double p2 = bins[best + 1].power;
-  const double denom = p0 - 2.0 * p1 + p2;
-  double delta = 0.0;
-  if (std::abs(denom) > 1e-30) delta = 0.5 * (p0 - p2) / denom;
-  delta = std::clamp(delta, -0.5, 0.5);
-  const double bin_width = bins[1].frequency_hz - bins[0].frequency_hz;
-  return bins[best].frequency_hz + delta * bin_width;
-}
-
-}  // namespace
 
 void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
   const std::size_t count = jobs.size();

@@ -67,47 +67,6 @@ double dominant_frequency(std::span<const double> x, double sample_rate_hz,
                           double f_lo, double f_hi,
                           WindowType window = WindowType::Hann);
 
-/// Like dominant_frequency, but each bin's power is weighted by f^2
-/// before the peak search. Integrated (random-walk) noise has a 1/f^2
-/// spectrum, so the weighting whitens it — equivalent to searching the
-/// spectrum of the differenced signal — and keeps a genuine oscillation
-/// peak from being buried by low-frequency drift.
-double dominant_frequency_whitened(std::span<const double> x,
-                                   double sample_rate_hz, double f_lo,
-                                   double f_hi,
-                                   WindowType window = WindowType::Hann);
-
-/// Short-time Fourier transform magnitude (spectrogram): one one-sided
-/// power spectrum per hop, to follow a breathing rate that changes over
-/// the recording.
-struct Spectrogram {
-  /// frames[t][k] = power of bin k in frame t.
-  std::vector<std::vector<double>> frames;
-  /// Centre time [s] of each frame (relative to the input's first
-  /// sample at t = 0).
-  std::vector<double> frame_times_s;
-  /// Frequency [Hz] of each bin.
-  std::vector<double> bin_frequencies_hz;
-};
-
-/// Computes the spectrogram with `segment`-sample windows advanced by
-/// `hop` samples. Requires segment >= 8 and 1 <= hop <= segment; returns
-/// an empty spectrogram when the signal is shorter than one segment.
-Spectrogram stft(std::span<const double> x, double sample_rate_hz,
-                 std::size_t segment, std::size_t hop,
-                 WindowType window = WindowType::Hann);
-
-/// Welch PSD estimate: the signal is split into `segment` overlapping
-/// windows (50% overlap), each windowed and periodogram'd, and the
-/// per-segment spectra averaged. Trades frequency resolution for a
-/// `~sqrt(K)` variance reduction — useful for the quality metrics that
-/// compare band powers on short noisy windows. `segment` must be >= 8;
-/// a segment longer than the signal degrades to a plain periodogram.
-std::vector<SpectrumBin> welch_psd(std::span<const double> x,
-                                   double sample_rate_hz,
-                                   std::size_t segment,
-                                   WindowType window = WindowType::Hann);
-
 /// Fundamental-frequency estimate via the normalised autocorrelation
 /// (pitch-detection style). The ACF concentrates evidence from the
 /// fundamental *and* all harmonics at the true period, tolerates both

@@ -1,16 +1,13 @@
-// Unit tests: two-ray ground multipath, dynamic tag presence, Welch PSD.
+// Unit tests: two-ray ground multipath and dynamic tag presence.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "body/subject.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
-#include "common/stats.hpp"
 #include "core/monitor.hpp"
 #include "rfid/link_budget.hpp"
 #include "rfid/reader.hpp"
-#include "signal/spectrum.hpp"
 
 namespace tagbreathe {
 namespace {
@@ -152,50 +149,6 @@ TEST(Presence, WindowValidation) {
   rfid::StaticTag tag(rfid::Epc96::from_user_tag(1, 1), {});
   EXPECT_TRUE(tag.present_at(-1e9));  // default: always present
   EXPECT_THROW(tag.set_presence_window(5.0, 5.0), std::invalid_argument);
-}
-
-// --- Welch PSD -------------------------------------------------------------------
-
-TEST(Welch, LowerVarianceThanPeriodogramOnNoise) {
-  common::Rng rng(7);
-  std::vector<double> x(4096);
-  for (auto& v : x) v = rng.normal();
-
-  const auto plain = signal::periodogram(x, 20.0);
-  const auto welch = signal::welch_psd(x, 20.0, 512);
-
-  auto flatness = [](const std::vector<signal::SpectrumBin>& bins) {
-    // Coefficient of variation of interior bin powers.
-    std::vector<double> p;
-    for (std::size_t k = 1; k + 1 < bins.size(); ++k)
-      p.push_back(bins[k].power);
-    const double m = common::mean(p);
-    return m > 0.0 ? common::stddev(p) / m : 0.0;
-  };
-  EXPECT_LT(flatness(welch), 0.6 * flatness(plain));
-}
-
-TEST(Welch, PeakStaysPut) {
-  std::vector<double> x(4096);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(common::kTwoPi * 2.0 * static_cast<double>(i) / 20.0);
-  const auto bins = signal::welch_psd(x, 20.0, 512);
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < bins.size(); ++k)
-    if (bins[k].power > bins[best].power) best = k;
-  EXPECT_NEAR(bins[best].frequency_hz, 2.0, 0.05);
-}
-
-TEST(Welch, ShortInputDegradesToPeriodogram) {
-  common::Rng rng(8);
-  std::vector<double> x(100);
-  for (auto& v : x) v = rng.normal();
-  const auto welch = signal::welch_psd(x, 20.0, 256);
-  const auto plain = signal::periodogram(x, 20.0);
-  ASSERT_EQ(welch.size(), plain.size());
-  for (std::size_t k = 0; k < welch.size(); ++k)
-    EXPECT_DOUBLE_EQ(welch[k].power, plain[k].power);
-  EXPECT_THROW(signal::welch_psd(x, 20.0, 4), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit + property tests: spectral analysis (periodogram, peak searches,
-// ACF fundamental, FFT band filters, Goertzel, STFT).
+// ACF fundamental, FFT band filters, Goertzel).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,23 +80,6 @@ TEST(DominantFrequency, RespectsBand) {
   EXPECT_NEAR(dominant_frequency(x, 20.0, 0.05, 1.0), 0.3, 0.02);
   // A band with no bins at all (beyond Nyquist) yields 0.
   EXPECT_EQ(dominant_frequency(x, 20.0, 10.5, 11.0), 0.0);
-}
-
-TEST(DominantFrequencyWhitened, FindsToneOverRandomWalk) {
-  common::Rng rng(5);
-  std::vector<double> x(1200);
-  double walk = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    walk += rng.normal(0.0, 0.02);
-    x[i] = walk + 0.05 * std::sin(kTwoPi * 0.3 * static_cast<double>(i) / 20.0);
-  }
-  detrend_linear(x);
-  // Plain search is captured by the walk's low-frequency power...
-  const double plain = dominant_frequency(x, 20.0, 0.05, 0.67);
-  // ...whitened search finds the real oscillation.
-  const double whitened = dominant_frequency_whitened(x, 20.0, 0.05, 0.67);
-  EXPECT_NEAR(whitened, 0.3, 0.05);
-  (void)plain;  // plain may or may not fail; whitened must not
 }
 
 // --- significant peak search ----------------------------------------------------
@@ -319,49 +302,6 @@ TEST(BandPowerRatio, WhiteNoiseIsProportionalToBandwidth) {
   // [0, 10] Hz total; [1, 2] covers ~10%.
   const double r = band_power_ratio(x, 20.0, 1.0, 2.0);
   EXPECT_NEAR(r, 0.1, 0.04);
-}
-
-// --- STFT -------------------------------------------------------------------
-
-TEST(Stft, ShapesAndTimes) {
-  std::vector<double> x(1000, 0.0);
-  const auto spec = stft(x, 20.0, 256, 128);
-  ASSERT_FALSE(spec.frames.empty());
-  EXPECT_EQ(spec.frames.size(), spec.frame_times_s.size());
-  EXPECT_EQ(spec.frames[0].size(), spec.bin_frequencies_hz.size());
-  EXPECT_EQ(spec.frames[0].size(), 129u);  // 256/2 + 1
-  // Frame centres advance by hop / fs = 6.4 s.
-  EXPECT_NEAR(spec.frame_times_s[1] - spec.frame_times_s[0], 6.4, 1e-9);
-  EXPECT_NEAR(spec.frame_times_s[0], 6.4, 1e-9);  // segment/2 / fs
-}
-
-TEST(Stft, TracksFrequencyChange) {
-  // 2 Hz tone for the first half, 5 Hz for the second.
-  constexpr double fs = 40.0;
-  std::vector<double> x;
-  for (double t = 0.0; t < 30.0; t += 1.0 / fs)
-    x.push_back(std::sin(common::kTwoPi * (t < 15.0 ? 2.0 : 5.0) * t));
-  const auto spec = stft(x, fs, 256, 64);
-  ASSERT_GT(spec.frames.size(), 10u);
-
-  auto peak_freq = [&spec](std::size_t frame) {
-    std::size_t best = 1;
-    for (std::size_t k = 1; k < spec.frames[frame].size(); ++k)
-      if (spec.frames[frame][k] > spec.frames[frame][best]) best = k;
-    return spec.bin_frequencies_hz[best];
-  };
-  // An early frame sees 2 Hz; a late frame sees 5 Hz.
-  EXPECT_NEAR(peak_freq(1), 2.0, 0.3);
-  EXPECT_NEAR(peak_freq(spec.frames.size() - 2), 5.0, 0.3);
-}
-
-TEST(Stft, Validation) {
-  std::vector<double> x(100, 0.0);
-  EXPECT_THROW(stft(x, 20.0, 4, 2), std::invalid_argument);
-  EXPECT_THROW(stft(x, 20.0, 64, 0), std::invalid_argument);
-  EXPECT_THROW(stft(x, 20.0, 64, 128), std::invalid_argument);
-  EXPECT_TRUE(stft(std::vector<double>(10), 20.0, 64, 32)
-                  .frames.empty());
 }
 
 }  // namespace
