@@ -58,6 +58,20 @@ template <typename T>
 class SlabArena {
  public:
   static constexpr std::size_t kSlotsPerSlab = 256;
+#if defined(TAGBREATHE_ASAN)
+  // ASan tracks addressability per 8-byte granule and cannot poison
+  // part of a granule whose other bytes stay addressable, so a slot
+  // smaller than a granule, or one starting inside it, would read as
+  // live after release. ASan builds give every slot whole granules.
+  static constexpr std::size_t kAsanGranule = 8;
+  static constexpr std::size_t kSlotStride =
+      (sizeof(T) + kAsanGranule - 1) / kAsanGranule * kAsanGranule;
+  static constexpr std::size_t kSlabAlign =
+      alignof(T) > kAsanGranule ? alignof(T) : kAsanGranule;
+#else
+  static constexpr std::size_t kSlotStride = sizeof(T);
+  static constexpr std::size_t kSlabAlign = alignof(T);
+#endif
 
   SlabArena() = default;
   ~SlabArena() {
@@ -194,17 +208,17 @@ class SlabArena {
 
  private:
   struct Slab {
-    alignas(alignof(T)) std::byte bytes[kSlotsPerSlab * sizeof(T)];
+    alignas(kSlabAlign) std::byte bytes[kSlotsPerSlab * kSlotStride];
   };
 
   void* slot_address(std::uint32_t index) noexcept {
     return slabs_[index / kSlotsPerSlab]->bytes +
-           static_cast<std::size_t>(index % kSlotsPerSlab) * sizeof(T);
+           static_cast<std::size_t>(index % kSlotsPerSlab) * kSlotStride;
   }
 
   static void poison(void* slot) noexcept {
 #if defined(TAGBREATHE_ASAN)
-    ASAN_POISON_MEMORY_REGION(slot, sizeof(T));
+    ASAN_POISON_MEMORY_REGION(slot, kSlotStride);
 #else
     (void)slot;
 #endif

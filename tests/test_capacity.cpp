@@ -301,17 +301,27 @@ TEST(SlabArena, FreedSlotsArePoisonedUnderAsan) {
     GTEST_SKIP() << "not an ASan build; slot poisoning is compiled out";
   }
 #if defined(TAGBREATHE_ASAN)
+  // A 4-byte payload is smaller than ASan's 8-byte shadow granule, and
+  // slot 1 would start mid-granule at a packed stride.
   common::SlabArena<int> arena;
-  const common::SlabHandle h = arena.emplace(7);
-  const void* slot = arena.slot_address_for_testing(h.index);
-  EXPECT_FALSE(__asan_address_is_poisoned(slot));
-  EXPECT_TRUE(arena.release(h));
-  EXPECT_TRUE(__asan_address_is_poisoned(slot));
+  const common::SlabHandle h0 = arena.emplace(7);
+  const common::SlabHandle h1 = arena.emplace(9);
+  ASSERT_EQ(h1.index, 1u);
+  for (const common::SlabHandle h : {h0, h1}) {
+    const void* slot = arena.slot_address_for_testing(h.index);
+    EXPECT_FALSE(__asan_address_is_poisoned(slot)) << "slot " << h.index;
+    EXPECT_TRUE(arena.release(h));
+    EXPECT_TRUE(__asan_address_is_poisoned(slot)) << "slot " << h.index;
+  }
+  // The neighbour's release left slot 0's poison in place.
+  EXPECT_TRUE(__asan_address_is_poisoned(arena.slot_address_for_testing(0)));
 
-  // Reuse unpoisons exactly that slot again.
+  // Reuse unpoisons exactly the reused slot again (free list is LIFO).
   const common::SlabHandle h2 = arena.emplace(8);
-  ASSERT_EQ(h2.index, h.index);
-  EXPECT_FALSE(__asan_address_is_poisoned(slot));
+  ASSERT_EQ(h2.index, h1.index);
+  EXPECT_FALSE(__asan_address_is_poisoned(
+      arena.slot_address_for_testing(h2.index)));
+  EXPECT_TRUE(__asan_address_is_poisoned(arena.slot_address_for_testing(0)));
 #endif
 }
 
