@@ -11,22 +11,6 @@
 
 namespace tagbreathe::core {
 
-namespace {
-
-// Enough violation lines to diagnose a failure without letting a broken
-// run allocate without bound.
-constexpr std::size_t kMaxViolations = 50;
-
-void add_violation(std::vector<std::string>& violations, std::string line) {
-  if (violations.size() < kMaxViolations) {
-    violations.push_back(std::move(line));
-  } else if (violations.size() == kMaxViolations) {
-    violations.push_back("... further violations suppressed");
-  }
-}
-
-}  // namespace
-
 void ChaosConfig::validate() const {
   const auto bad = [](const std::string& what) {
     throw std::invalid_argument("ChaosConfig: " + what);
@@ -306,13 +290,50 @@ ReadStream make_soak_population(const SoakConfig& config) {
   return clean;
 }
 
-SoakInvariantSink::SoakInvariantSink(std::vector<std::uint64_t> roster,
-                                     std::size_t user_cap,
-                                     std::size_t validator_cap,
-                                     SoakReport& report)
-    : roster_(std::move(roster)),
-      user_cap_(user_cap),
-      validator_cap_(validator_cap),
+SoakPlan make_soak_plan(const SoakConfig& config) {
+  config.validate();
+  SoakPlan plan;
+  plan.roster.reserve(config.n_users);
+  for (std::size_t u = 0; u < config.n_users; ++u)
+    plan.roster.push_back(static_cast<std::uint64_t>(u + 1));
+  plan.ingest = config.ingest;
+  if (plan.ingest.monitored_users.empty())
+    plan.ingest.monitored_users = plan.roster;
+  plan.pipeline = config.pipeline;
+  if (plan.pipeline.max_users == 0)
+    plan.pipeline.max_users = plan.ingest.max_users;
+
+  const ReadStream clean = make_soak_population(config);
+  ChaosInjector injector(config.chaos);
+  std::vector<TagRead> delivered;
+  const auto offer_delivered = [&](double time_s) {
+    for (const TagRead& r : delivered)
+      plan.steps.push_back(SoakStep{time_s, false, r});
+    delivered.clear();
+  };
+  const auto pump = [&](double time_s) {
+    plan.steps.push_back(SoakStep{time_s, true, TagRead{}});
+  };
+  double next_pump = config.pump_period_s;
+  for (const TagRead& read : clean) {
+    injector.feed(read, delivered);
+    offer_delivered(read.time_s);
+    for (; read.time_s >= next_pump; next_pump += config.pump_period_s)
+      pump(next_pump);
+  }
+  injector.flush(delivered);
+  offer_delivered(config.duration_s);
+  pump(config.duration_s);
+  plan.chaos = injector.stats();
+  return plan;
+}
+
+SoakInvariantSink::SoakInvariantSink(const SoakConfig& config,
+                                     const SoakPlan& plan, SoakReport& report)
+    : config_(config),
+      plan_(plan),
+      user_cap_(plan.pipeline.max_users > 0 ? plan.pipeline.max_users
+                                            : config.n_users),
       report_(report),
       last_event_s_(-std::numeric_limits<double>::infinity()) {}
 
@@ -332,22 +353,46 @@ void SoakInvariantSink::on_event(const PipelineEvent& event) {
   last_event_s_ = std::max(last_event_s_, event.time_s);
   report_.last_event_time_s = last_event_s_;
 
-  if (!std::binary_search(roster_.begin(), roster_.end(), event.user_id))
+  if (!std::binary_search(plan_.roster.begin(), plan_.roster.end(),
+                          event.user_id))
     violation("event for unadmitted user " + std::to_string(event.user_id) +
               " (quarantine breached)");
 
   report_.event_log.push_back(format_soak_event(event));
 }
 
-void SoakInvariantSink::after_pump(const RealtimePipeline& pipeline,
-                                   std::size_t validator_tracked_users) {
-  report_.peak_tracked_users =
-      std::max(report_.peak_tracked_users, pipeline.tracked_users());
-  if (user_cap_ > 0 && pipeline.tracked_users() > user_cap_)
-    violation("tracked users " + std::to_string(pipeline.tracked_users()) +
-              " exceed cap " + std::to_string(user_cap_));
-  if (validator_cap_ > 0 && validator_tracked_users > validator_cap_)
+void SoakInvariantSink::after_pump(IngestFrontEnd& frontend) {
+  const std::size_t tracked = frontend.pipeline().tracked_users();
+  report_.peak_tracked_users = std::max(report_.peak_tracked_users, tracked);
+  if (tracked > user_cap_)
+    violation("tracked users " + std::to_string(tracked) + " exceed cap " +
+              std::to_string(user_cap_));
+  const std::size_t validator_cap = plan_.ingest.max_users;
+  if (validator_cap > 0 && frontend.validator().tracked_users() > validator_cap)
     violation("validator user state exceeds cap");
+}
+
+void SoakInvariantSink::finish(IngestFrontEnd& frontend) {
+  report_.chaos = plan_.chaos;
+  report_.queue = frontend.queue_counters();
+  report_.validation = frontend.validation();
+  append_queue_invariant_violations(report_.queue, frontend.queue().capacity(),
+                                    report_.violations);
+
+  // SignalHealth vs injected gaps: a blackout longer than the loss
+  // threshold must produce Lost transitions (and recoveries, since
+  // delivery resumes).
+  const ChaosConfig& chaos = config_.chaos;
+  const bool long_blackouts =
+      chaos.blackout_period_s > 0.0 &&
+      chaos.blackout_duration_s >
+          plan_.pipeline.signal_loss_s + plan_.pipeline.update_period_s &&
+      config_.duration_s >= chaos.blackout_period_s;
+  if (!long_blackouts) return;
+  if (report_.signal_lost_events == 0)
+    violation("blackouts above signal_loss_s produced no SignalLost");
+  if (report_.signal_recovered_events == 0)
+    violation("delivery resumed after blackouts but no SignalRecovered");
 }
 
 void SoakConfig::validate() const {
@@ -367,6 +412,15 @@ void SoakConfig::validate() const {
   chaos.validate();
 }
 
+void add_violation(std::vector<std::string>& violations, std::string line) {
+  constexpr std::size_t kMaxViolations = 50;
+  if (violations.size() < kMaxViolations) {
+    violations.push_back(std::move(line));
+  } else if (violations.size() == kMaxViolations) {
+    violations.push_back("... further violations suppressed");
+  }
+}
+
 void append_queue_invariant_violations(const IngestQueueCounters& queue,
                                        std::size_t capacity,
                                        std::vector<std::string>& violations,
@@ -381,88 +435,21 @@ void append_queue_invariant_violations(const IngestQueueCounters& queue,
 }
 
 SoakReport run_soak(const SoakConfig& config) {
-  config.validate();
+  const SoakPlan plan = make_soak_plan(config);
   SoakReport report;
-
-  // Roster: user IDs 1..n. The ingest layer quarantines anything else
-  // (corrupted EPCs), unless the caller supplied an explicit roster.
-  std::vector<std::uint64_t> roster;
-  roster.reserve(config.n_users);
-  for (std::size_t u = 0; u < config.n_users; ++u)
-    roster.push_back(static_cast<std::uint64_t>(u + 1));
-
-  IngestConfig ingest_cfg = config.ingest;
-  if (ingest_cfg.monitored_users.empty()) ingest_cfg.monitored_users = roster;
-
-  PipelineConfig pipeline_cfg = config.pipeline;
-  if (pipeline_cfg.max_users == 0) pipeline_cfg.max_users = ingest_cfg.max_users;
-
-  // --- invariant-checking event sink -------------------------------------
-  const std::size_t user_cap =
-      pipeline_cfg.max_users > 0 ? pipeline_cfg.max_users : config.n_users;
-  SoakInvariantSink sink(roster, user_cap, ingest_cfg.max_users, report);
-  RealtimePipeline pipeline(pipeline_cfg, [&](const PipelineEvent& event) {
+  SoakInvariantSink sink(config, plan, report);
+  RealtimePipeline pipeline(plan.pipeline, [&](const PipelineEvent& event) {
     sink.on_event(event);
   });
-
-  IngestFrontEnd frontend(ingest_cfg, pipeline);
+  IngestFrontEnd frontend(plan.ingest, pipeline);
   if (config.observability != nullptr) {
     pipeline.bind_observability(*config.observability);
     frontend.bind_observability(*config.observability);
   }
-  ChaosInjector injector(config.chaos);
-
-  const ReadStream clean = make_soak_population(config);
-
-  // --- drive -------------------------------------------------------------
-  std::vector<TagRead> delivered;
-  double next_pump = config.pump_period_s;
-  const auto pump_and_check = [&](double now_s) {
-    frontend.pump(now_s);
-    sink.after_pump(pipeline, frontend.validator().tracked_users());
-  };
-
-  for (const TagRead& read : clean) {
-    delivered.clear();
-    injector.feed(read, delivered);
-    for (const TagRead& r : delivered) frontend.offer(r, read.time_s);
-    while (read.time_s >= next_pump) {
-      pump_and_check(next_pump);
-      next_pump += config.pump_period_s;
-    }
-  }
-  delivered.clear();
-  injector.flush(delivered);
-  for (const TagRead& r : delivered) frontend.offer(r, config.duration_s);
-  pump_and_check(config.duration_s);
-
-  // --- post-run invariants ------------------------------------------------
-  report.chaos = injector.stats();
-  report.queue = frontend.queue_counters();
-  report.validation = frontend.validation();
-
-  append_queue_invariant_violations(report.queue, frontend.queue().capacity(),
-                                    report.violations);
-
-  // SignalHealth vs injected gaps: a blackout longer than the loss
-  // threshold must produce Lost transitions (and recoveries, since
-  // delivery resumes), and every Lost transition must be attributable
-  // to a blackout window when blackouts are the only gap source.
-  const ChaosConfig& chaos = config.chaos;
-  const bool long_blackouts =
-      chaos.blackout_period_s > 0.0 &&
-      chaos.blackout_duration_s >
-          pipeline_cfg.signal_loss_s + pipeline_cfg.update_period_s &&
-      config.duration_s >= chaos.blackout_period_s;
-  if (long_blackouts) {
-    if (report.signal_lost_events == 0)
-      add_violation(report.violations,
-                    "blackouts above signal_loss_s produced no SignalLost");
-    if (report.signal_recovered_events == 0)
-      add_violation(report.violations,
-                    "delivery resumed after blackouts but no SignalRecovered");
-  }
-
+  std::size_t next = 0;
+  play_soak_steps(plan.steps, next, frontend,
+                  [&] { sink.after_pump(frontend); });
+  sink.finish(frontend);
   return report;
 }
 

@@ -227,36 +227,94 @@ struct SoakReport {
 /// compared byte for byte.
 std::string format_soak_event(const PipelineEvent& event);
 
-/// The clean synthetic population run_soak feeds: n_users breathing
+/// The clean synthetic population a soak feeds: n_users breathing
 /// sinusoids, tags_per_user staggered read streams each, time-sorted.
-/// Exposed for the durability layer's crash harness, whose
-/// golden-vs-recovered comparison needs the identical population.
 ReadStream make_soak_population(const SoakConfig& config);
 
+/// One step of a single-reader soak drive: offer `read` to the
+/// front-end at stream time `time_s`, or (`pump`) run the analysis tick
+/// at `time_s`.
+struct SoakStep {
+  double time_s = 0.0;
+  bool pump = false;
+  TagRead read;  // unused by a pump step
+};
+
+/// Everything a single-reader soak (run_soak, and the durable and crash
+/// soaks in core/recovery) sets up before its first step, built in one
+/// place so the three cannot drift apart.
+struct SoakPlan {
+  /// User ids 1..n_users; the ingest layer quarantines anything else
+  /// (corrupted EPCs).
+  std::vector<std::uint64_t> roster;
+  /// config.ingest, with monitored_users defaulting to the roster.
+  IngestConfig ingest;
+  /// config.pipeline, with max_users defaulting to the ingest cap.
+  PipelineConfig pipeline;
+  /// The drive script. For each clean read: its chaos deliveries,
+  /// offered at the read's time, then a pump at every pump-grid point
+  /// the read has reached. At duration_s: the injector's held-back
+  /// reads, then the final pump.
+  std::vector<SoakStep> steps;
+  /// What the injector did to the clean stream while scripting.
+  ChaosStats chaos;
+};
+
+/// Validates `config` and builds its plan. Deterministic in the config.
+SoakPlan make_soak_plan(const SoakConfig& config);
+
+/// Plays `steps` from index `next` on through `target` (anything with
+/// offer(read, now_s) and pump(now_s): an IngestFrontEnd or a
+/// DurableMonitor), calling after_pump() after every pump. `next` is
+/// the step in flight, so a run that throws mid-step (a simulated
+/// crash) resumes at the step it died in.
+template <typename Target, typename AfterPump>
+void play_soak_steps(const std::vector<SoakStep>& steps, std::size_t& next,
+                     Target& target, AfterPump&& after_pump) {
+  for (; next < steps.size(); ++next) {
+    const SoakStep& step = steps[next];
+    if (step.pump) {
+      target.pump(step.time_s);
+      after_pump();
+    } else {
+      target.offer(step.read, step.time_s);
+    }
+  }
+}
+
 /// Event sink + invariant bookkeeping shared by run_soak and the
-/// durability soaks (core/recovery): event counting and logging,
-/// monotonic event time, roster membership, and tracked-user caps.
+/// durable soak (core/recovery): event counting and logging, monotonic
+/// event time, roster membership, tracked-user caps, and the post-run
+/// queue and blackout gates. `config` and `plan` must outlive the sink.
 class SoakInvariantSink {
  public:
-  /// `roster` must be sorted ascending. Caps of 0 disable their checks.
-  SoakInvariantSink(std::vector<std::uint64_t> roster, std::size_t user_cap,
-                    std::size_t validator_cap, SoakReport& report);
+  SoakInvariantSink(const SoakConfig& config, const SoakPlan& plan,
+                    SoakReport& report);
 
   void on_event(const PipelineEvent& event);
 
   /// Tracking-state checks, run after every pump.
-  void after_pump(const RealtimePipeline& pipeline,
-                  std::size_t validator_tracked_users);
+  void after_pump(IngestFrontEnd& frontend);
+
+  /// Post-run: copies the chaos, queue and validation counters into the
+  /// report, then checks queue conservation and that blackouts longer
+  /// than the loss threshold produced SignalLost and SignalRecovered.
+  void finish(IngestFrontEnd& frontend);
 
   void violation(std::string line);
 
  private:
-  std::vector<std::uint64_t> roster_;
+  const SoakConfig& config_;
+  const SoakPlan& plan_;
   std::size_t user_cap_;
-  std::size_t validator_cap_;
   SoakReport& report_;
   double last_event_s_;
 };
+
+/// Appends `line` to a soak report's violations. Past 50 lines it adds
+/// one "suppressed" marker and drops the rest, so a broken run cannot
+/// allocate without bound. Every soak harness reports through this.
+void add_violation(std::vector<std::string>& violations, std::string line);
 
 /// Queue-counter conservation gate shared by every soak harness
 /// (run_soak, run_durable_soak, run_fleet_soak): bounded depth and the

@@ -190,64 +190,6 @@ void DurableMonitor::bind_observability(obs::Observability& hub) {
 
 namespace {
 
-constexpr std::size_t kMaxSoakViolations = 50;
-
-void add_violation(std::vector<std::string>& violations, std::string line) {
-  if (violations.size() < kMaxSoakViolations) {
-    violations.push_back(std::move(line));
-  } else if (violations.size() == kMaxSoakViolations) {
-    violations.push_back("... further violations suppressed");
-  }
-}
-
-/// One chaos-mangled read plus the wall moment it is handed to the
-/// front-end. Precomputed once so the golden run and both lives of the
-/// crashed run see the byte-identical delivery schedule.
-struct DeliveryItem {
-  double offer_s = 0.0;
-  TagRead read;
-};
-
-std::vector<DeliveryItem> make_delivery_schedule(const SoakConfig& soak) {
-  const ReadStream clean = make_soak_population(soak);
-  ChaosInjector injector(soak.chaos);
-  std::vector<DeliveryItem> items;
-  items.reserve(clean.size());
-  std::vector<TagRead> out;
-  for (const TagRead& read : clean) {
-    out.clear();
-    injector.feed(read, out);
-    for (const TagRead& r : out) items.push_back(DeliveryItem{read.time_s, r});
-  }
-  out.clear();
-  injector.flush(out);
-  for (const TagRead& r : out)
-    items.push_back(DeliveryItem{soak.duration_s, r});
-  return items;
-}
-
-/// (roster, ingest, pipeline) defaults applied the same way run_soak
-/// applies them, so crash-soak behaviour matches the plain soak.
-struct SoakSetup {
-  std::vector<std::uint64_t> roster;
-  IngestConfig ingest;
-  PipelineConfig pipeline;
-};
-
-SoakSetup make_soak_setup(const SoakConfig& config) {
-  SoakSetup setup;
-  setup.roster.reserve(config.n_users);
-  for (std::size_t u = 0; u < config.n_users; ++u)
-    setup.roster.push_back(static_cast<std::uint64_t>(u + 1));
-  setup.ingest = config.ingest;
-  if (setup.ingest.monitored_users.empty())
-    setup.ingest.monitored_users = setup.roster;
-  setup.pipeline = config.pipeline;
-  if (setup.pipeline.max_users == 0)
-    setup.pipeline.max_users = setup.ingest.max_users;
-  return setup;
-}
-
 using TimedLog = std::vector<std::pair<double, std::string>>;
 
 std::vector<std::string> log_tail(const TimedLog& events, double after_s) {
@@ -278,28 +220,18 @@ void CrashSoakConfig::validate() const {
 CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
   config.validate();
   CrashSoakReport report;
+  const SoakPlan plan = make_soak_plan(config.soak);
 
-  const std::vector<DeliveryItem> items = make_delivery_schedule(config.soak);
-  const SoakSetup setup = make_soak_setup(config.soak);
-  const double pump_period = config.soak.pump_period_s;
-  const double duration = config.soak.duration_s;
-
-  // --- golden run: no durability layer, no interruption ------------------
+  // --- golden run: the plain soak's front-end, no durability layer, no
+  // interruption --------------------------------------------------------
   TimedLog golden;
   {
-    RealtimePipeline pipeline(setup.pipeline, [&](const PipelineEvent& e) {
+    RealtimePipeline pipeline(plan.pipeline, [&](const PipelineEvent& e) {
       golden.emplace_back(e.time_s, format_soak_event(e));
     });
-    IngestFrontEnd frontend(setup.ingest, pipeline);
-    double next_pump = pump_period;
-    for (const DeliveryItem& item : items) {
-      while (item.offer_s >= next_pump) {
-        frontend.pump(next_pump);
-        next_pump += pump_period;
-      }
-      frontend.offer(item.read, item.offer_s);
-    }
-    frontend.pump(duration);
+    IngestFrontEnd frontend(plan.ingest, pipeline);
+    std::size_t next = 0;
+    play_soak_steps(plan.steps, next, frontend, [] {});
   }
   report.golden_events = golden.size();
 
@@ -309,38 +241,26 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
     recovered.emplace_back(e.time_s, format_soak_event(e));
   };
 
-  double stream_now_s = 0.0;
+  std::size_t next = 0;  // the step in flight, carried across the crash
   DurabilityHooks hooks;
   hooks.at_point = [&](CrashPoint point) {
     if (report.crashed || point != config.point) return;
-    if (stream_now_s < config.crash_after_s) return;
+    // Past the last step the final flush runs, at the last step's time.
+    const double now_s =
+        plan.steps[std::min(next, plan.steps.size() - 1)].time_s;
+    if (now_s < config.crash_after_s) return;
     report.crashed = true;
-    report.crash_time_s = stream_now_s;
+    report.crash_time_s = now_s;
     throw SimulatedCrash(std::string("injected crash: ") +
                          crash_point_name(point));
   };
-
-  std::size_t idx = 0;
-  double next_pump = pump_period;
   const auto drive = [&](DurableMonitor& monitor) {
-    while (idx < items.size()) {
-      const DeliveryItem& item = items[idx];
-      while (item.offer_s >= next_pump) {
-        stream_now_s = next_pump;
-        monitor.pump(next_pump);
-        next_pump += pump_period;
-      }
-      stream_now_s = item.offer_s;
-      monitor.offer(item.read, item.offer_s);
-      ++idx;
-    }
-    stream_now_s = duration;
-    monitor.pump(duration);
+    play_soak_steps(plan.steps, next, monitor, [] {});
     monitor.flush();
   };
 
   auto monitor = std::make_unique<DurableMonitor>(
-      config.durability, setup.ingest, setup.pipeline, callback, &hooks);
+      config.durability, plan.ingest, plan.pipeline, callback, &hooks);
   try {
     drive(*monitor);
   } catch (const SimulatedCrash&) {
@@ -351,7 +271,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
     monitor.reset();
     try {
       monitor = std::make_unique<DurableMonitor>(
-          config.durability, setup.ingest, setup.pipeline, callback, nullptr);
+          config.durability, plan.ingest, plan.pipeline, callback, nullptr);
       report.recovered = true;
       report.recovery = monitor->recovery();
     } catch (const std::exception& e) {
@@ -412,55 +332,22 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
 
 SoakReport run_durable_soak(const SoakConfig& config,
                             const DurabilityConfig& durability) {
-  config.validate();
   durability.validate();
+  const SoakPlan plan = make_soak_plan(config);
   SoakReport report;
-
-  const SoakSetup setup = make_soak_setup(config);
-  const std::size_t user_cap =
-      setup.pipeline.max_users > 0 ? setup.pipeline.max_users : config.n_users;
-  SoakInvariantSink sink(setup.roster, user_cap, setup.ingest.max_users,
-                         report);
-
+  SoakInvariantSink sink(config, plan, report);
   DurableMonitor monitor(
-      durability, setup.ingest, setup.pipeline,
+      durability, plan.ingest, plan.pipeline,
       [&](const PipelineEvent& event) { sink.on_event(event); });
   if (config.observability != nullptr)
     monitor.bind_observability(*config.observability);
-  ChaosInjector injector(config.chaos);
-  const ReadStream clean = make_soak_population(config);
-
-  std::vector<TagRead> delivered;
-  double next_pump = config.pump_period_s;
-  const auto pump_and_check = [&](double now_s) {
-    monitor.pump(now_s);
-    sink.after_pump(monitor.pipeline(),
-                    monitor.frontend().validator().tracked_users());
-  };
-
-  for (const TagRead& read : clean) {
-    delivered.clear();
-    injector.feed(read, delivered);
-    for (const TagRead& r : delivered) monitor.offer(r, read.time_s);
-    while (read.time_s >= next_pump) {
-      pump_and_check(next_pump);
-      next_pump += config.pump_period_s;
-    }
-  }
-  delivered.clear();
-  injector.flush(delivered);
-  for (const TagRead& r : delivered) monitor.offer(r, config.duration_s);
-  pump_and_check(config.duration_s);
+  std::size_t next = 0;
+  play_soak_steps(plan.steps, next, monitor,
+                  [&] { sink.after_pump(monitor.frontend()); });
   monitor.flush();
-
-  report.chaos = injector.stats();
-  report.queue = monitor.frontend().queue_counters();
-  report.validation = monitor.frontend().validation();
+  sink.finish(monitor.frontend());
   report.durability = monitor.counters();
 
-  append_queue_invariant_violations(report.queue,
-                                    monitor.frontend().queue().capacity(),
-                                    report.violations);
   // Every admitted read must have hit the journal (write-ahead). Only
   // checkable on a fresh directory: replayed reads count as admitted
   // but were journaled in a previous life.

@@ -175,9 +175,11 @@ struct CrashSoakReport {
   bool ok() const noexcept { return violations.empty(); }
 };
 
-/// Golden run vs crash-at-kill-point-then-recover run over the same
-/// deterministic read stream; asserts the recovered event stream
-/// converges with the golden one. Never lets SimulatedCrash escape.
+/// Plays the soak's plan (make_soak_plan) twice: through a bare
+/// front-end exactly as run_soak does (the golden run), and through a
+/// DurableMonitor killed at the armed point, recovered, and resumed at
+/// the step it died in. Asserts the recovered event stream converges
+/// with the golden one. Never lets SimulatedCrash escape.
 CrashSoakReport run_crash_soak(const CrashSoakConfig& config);
 
 /// run_soak's scenario driven through a DurableMonitor instead of a

@@ -10,19 +10,7 @@
 
 namespace tagbreathe::fleet {
 
-namespace {
-
-constexpr std::size_t kMaxViolations = 50;
-
-void add_violation(std::vector<std::string>& violations, std::string line) {
-  if (violations.size() < kMaxViolations) {
-    violations.push_back(std::move(line));
-  } else if (violations.size() == kMaxViolations) {
-    violations.push_back("... further violations suppressed");
-  }
-}
-
-}  // namespace
+using core::add_violation;
 
 void FleetSoakConfig::validate() const {
   const auto bad = [](const std::string& what) {

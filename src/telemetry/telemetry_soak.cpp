@@ -8,15 +8,7 @@ namespace tagbreathe::telemetry {
 
 namespace {
 
-constexpr std::size_t kMaxViolations = 50;
-
-void add_violation(std::vector<std::string>& violations, std::string line) {
-  if (violations.size() < kMaxViolations) {
-    violations.push_back(std::move(line));
-  } else if (violations.size() == kMaxViolations) {
-    violations.push_back("... further violations suppressed");
-  }
-}
+using core::add_violation;
 
 enum class Behaviour { Healthy, Slow, Flapping, Dead };
 
