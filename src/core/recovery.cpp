@@ -222,8 +222,7 @@ CrashSoakReport run_crash_soak(const CrashSoakConfig& config) {
   CrashSoakReport report;
   const SoakPlan plan = make_soak_plan(config.soak);
 
-  // --- golden run: the plain soak's front-end, no durability layer, no
-  // interruption --------------------------------------------------------
+  // --- golden run: run_soak's drive, no durability layer, no crash ----
   TimedLog golden;
   {
     RealtimePipeline pipeline(plan.pipeline, [&](const PipelineEvent& e) {
