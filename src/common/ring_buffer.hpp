@@ -1,8 +1,8 @@
 // Fixed-capacity circular buffer.
 //
-// The realtime pipeline buffers the most recent zero-crossing timestamps
-// (the paper buffers M = 7) and sliding windows of samples; a bounded ring
-// avoids unbounded growth during long monitoring sessions.
+// Backs the bounded ingest queue (core::IngestQueue) and the chaos
+// injector's burst-replay history; a bounded ring keeps both from growing
+// during long monitoring sessions.
 #pragma once
 
 #include <cstddef>

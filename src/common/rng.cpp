@@ -40,36 +40,6 @@ Xoshiro256PlusPlus::result_type Xoshiro256PlusPlus::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256PlusPlus::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
-Rng Rng::split() noexcept {
-  // Derive the child's seed from the parent stream, then jump the parent
-  // so later splits stay independent of the child's draws.
-  Rng child(engine_());
-  child.engine_.jump();
-  return child;
-}
-
 double Rng::uniform() noexcept {
   // 53 high bits -> double in [0, 1) with full mantissa entropy.
   return static_cast<double>(engine_() >> 11) * 0x1.0p-53;

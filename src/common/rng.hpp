@@ -30,24 +30,16 @@ class Xoshiro256PlusPlus {
 
   result_type operator()() noexcept;
 
-  /// Jump function: advances the state by 2^128 steps. Used to derive
-  /// statistically independent sub-streams from one seed.
-  void jump() noexcept;
-
  private:
   std::uint64_t s_[4];
 };
 
 /// Convenience wrapper bundling the engine with the distributions the
 /// simulator needs. Not thread-safe by design: each simulated entity owns
-/// its own Rng (derived via split()).
+/// its own seeded Rng.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) noexcept : engine_(seed) {}
-
-  /// Derives an independent child stream; deterministic given the parent
-  /// state. Each call yields a distinct stream.
-  Rng split() noexcept;
 
   /// Uniform in [0, 1).
   double uniform() noexcept;

@@ -9,9 +9,8 @@ namespace tagbreathe::core {
 
 namespace {
 
-/// Eq. 3 scale factor λ/(4π), written exactly as the legacy push() did
-/// (λ = c/f first, then the 4π divide) so the staged batch reproduces
-/// the historical bit pattern.
+/// Eq. 3 scale factor λ/(4π): λ = c/f first, then the 4π divide. The
+/// grouping fixes the bit pattern the pinned event-log hashes record.
 inline double eq3_scale(double frequency_hz) {
   const double lambda = common::kSpeedOfLight / frequency_hz;
   return lambda / (4.0 * common::kPi);
@@ -99,36 +98,6 @@ bool PhasePreprocessor::pair_gate(const TagRead& read, double& dt_out,
   return true;
 }
 
-bool PhasePreprocessor::push(const TagRead& read,
-                             signal::TimedSample& delta_out) {
-  double dt = 0.0;
-  double dphase = 0.0;
-  if (!pair_gate(read, dt, dphase)) return false;
-
-  // Eq. 3 with the principal-value wrap: Δd = λ/(4π) · Δθ. Routed
-  // through the dispatched kernel (n = 1 lands on its scalar tail) so
-  // streaming and batch deltas share one arithmetic path.
-  const double scale = eq3_scale(read.frequency_hz);
-  double delta_d = 0.0;
-  signal::simd::kernels().phase_deltas(&dphase, &scale, &delta_d, 1);
-
-  if (config_.max_speed_mps > 0.0 &&
-      std::abs(delta_d) / dt > config_.max_speed_mps) {
-    ++stats_.dropped_outlier;
-    return false;
-  }
-  if (config_.spike_floor_m > 0.0 &&
-      std::abs(delta_d) >
-          config_.spike_floor_m + config_.spike_speed_mps * dt) {
-    ++stats_.dropped_spike;
-    return false;
-  }
-
-  delta_out = signal::TimedSample{read.time_s, delta_d};
-  ++stats_.deltas_out;
-  return true;
-}
-
 void PhasePreprocessor::process_into(std::span<const TagRead> reads,
                                      std::vector<signal::TimedSample>& out) {
   out.clear();
@@ -136,7 +105,7 @@ void PhasePreprocessor::process_into(std::span<const TagRead> reads,
   // Pass 1 (serial, stateful): run the gate stage for every read and
   // stage the surviving pairs into flat arrays. All per-read state
   // evolution (EWMA, hysteresis, channel table) happens here, in read
-  // order, exactly as the streaming push() would.
+  // order, and carries over to the next call.
   stage_time_.clear();
   stage_dt_.clear();
   stage_dphase_.clear();

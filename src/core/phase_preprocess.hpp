@@ -22,8 +22,7 @@
 // arrays indexed by channel, epoch-stamped for O(1) reset), and the
 // batch path stages candidate pairs into flat arrays so the Eq. 3
 // wrap + scale runs through the dispatched SIMD kernel
-// (signal/simd/kernels.hpp). The streaming push() routes the same
-// kernel with n = 1, so batch and streaming deltas are bit-identical.
+// (signal/simd/kernels.hpp).
 #pragma once
 
 #include <cstdint>
@@ -86,9 +85,10 @@ struct PreprocessStats {
   std::size_t first_in_channel = 0;
 };
 
-/// Streaming phase-to-displacement converter for ONE (user, tag, antenna)
-/// stream. Feed reads in time order; displacement deltas come out as
-/// timestamped samples. An instance may be pooled: reconfigure() swaps
+/// Phase-to-displacement converter for ONE (user, tag, antenna) stream.
+/// Feed reads in time order; displacement deltas come out as timestamped
+/// samples. Channel and rate state carry across calls, so a stream may
+/// arrive in pieces. An instance may be pooled: reconfigure() swaps
 /// the config and resets the state in O(1) while keeping every buffer's
 /// high-water capacity, so a per-worker instance reused across streams
 /// performs no steady-state allocation.
@@ -96,17 +96,12 @@ class PhasePreprocessor {
  public:
   explicit PhasePreprocessor(PreprocessConfig config = {});
 
-  /// Processes one read; returns true and fills `delta_out` when the read
-  /// completes a valid same-channel pair.
-  bool push(const TagRead& read, signal::TimedSample& delta_out);
-
   /// Batch helper: displacement deltas for a whole stream.
   std::vector<signal::TimedSample> process(std::span<const TagRead> reads);
 
   /// Batch path into a caller buffer (cleared first): stages candidate
   /// pairs, runs the wrap+scale through the dispatched SIMD kernel, then
-  /// applies the speed/spike gates. Emits exactly the deltas the
-  /// streaming push() would — bit-identical values in the same order.
+  /// applies the speed/spike gates.
   void process_into(std::span<const TagRead> reads,
                     std::vector<signal::TimedSample>& out);
 
@@ -121,9 +116,9 @@ class PhasePreprocessor {
   double effective_gap_s() const noexcept;
 
  private:
-  /// Shared gate stage of push()/process_into(): rate tracking, channel
-  /// state update, dt/gap gating. True => the read completes a candidate
-  /// pair; `dt_out`/`dphase_out` carry its time and raw phase deltas.
+  /// Per-read gate stage of process_into(): rate tracking, channel state
+  /// update, dt/gap gating. True => the read completes a candidate pair;
+  /// `dt_out`/`dphase_out` carry its time and raw phase deltas.
   bool pair_gate(const TagRead& read, double& dt_out, double& dphase_out);
 
   PreprocessConfig config_;

@@ -85,40 +85,6 @@ RateEstimate ZeroCrossingRateEstimator::estimate(
   return out;
 }
 
-StreamingRateTracker::StreamingRateTracker(RateEstimatorConfig config)
-    : config_(config),
-      times_(static_cast<std::size_t>(
-          config.buffered_crossings < 2 ? 2 : config.buffered_crossings)) {
-  if (config_.buffered_crossings < 2)
-    throw std::invalid_argument("rate tracker: need M >= 2 crossings");
-}
-
-std::optional<RatePoint> StreamingRateTracker::push_crossing(double time_s) {
-  times_.push(time_s);
-  if (!times_.full()) return std::nullopt;
-  const double span = times_.back() - times_.front();
-  if (span <= 0.0) return std::nullopt;
-  const double rate_hz =
-      (static_cast<double>(times_.capacity()) - 1.0) / (2.0 * span);
-  const double bpm = common::hz_to_bpm(rate_hz);
-  current_rate_ = bpm;
-  return RatePoint{time_s, bpm};
-}
-
-double StreamingRateTracker::silence_s(double now_s) const noexcept {
-  if (times_.empty()) return now_s;
-  return now_s - times_.back();
-}
-
-std::optional<double> StreamingRateTracker::current_rate_bpm() const noexcept {
-  return current_rate_;
-}
-
-void StreamingRateTracker::reset() {
-  times_.clear();
-  current_rate_.reset();
-}
-
 double fft_peak_rate_bpm(std::span<const signal::TimedSample> track,
                          double sample_rate_hz, const FftPeakConfig& config) {
   if (track.size() < 8) return 0.0;

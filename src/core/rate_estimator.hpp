@@ -11,11 +11,9 @@
 // 1/w Hz (25 s -> 2.4 bpm); kept here for the ablation benches.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "signal/interpolate.hpp"
 #include "signal/zero_crossing.hpp"
 
@@ -72,28 +70,6 @@ class ZeroCrossingRateEstimator {
 
  private:
   RateEstimatorConfig config_;
-};
-
-/// Streaming variant: push crossings as they are detected; Eq. 5 over the
-/// last M gives the realtime display value.
-class StreamingRateTracker {
- public:
-  explicit StreamingRateTracker(RateEstimatorConfig config = {});
-
-  /// Pushes a crossing timestamp; returns the new instantaneous rate once
-  /// M crossings are buffered.
-  std::optional<RatePoint> push_crossing(double time_s);
-
-  /// Seconds since the most recent crossing, given the current time.
-  double silence_s(double now_s) const noexcept;
-
-  std::optional<double> current_rate_bpm() const noexcept;
-  void reset();
-
- private:
-  RateEstimatorConfig config_;
-  common::RingBuffer<double> times_;
-  std::optional<double> current_rate_;
 };
 
 /// FFT-peak baseline. `raw_bin` reads the peak bin directly (the paper's

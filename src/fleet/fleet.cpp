@@ -70,28 +70,6 @@ void FleetConfig::validate() const {
   }
 }
 
-ReaderHealth health_from_session(const llrp::SessionProbe& probe,
-                                 const FleetConfig& config,
-                                 double pump_period_s) {
-  const double degraded_s =
-      static_cast<double>(config.degraded_after_windows) * pump_period_s;
-  const double dead_s =
-      static_cast<double>(config.dead_after_windows) * pump_period_s;
-  if (probe.streaming) {
-    if (probe.silence_s >= dead_s) return ReaderHealth::Dead;
-    if (probe.state == llrp::SessionState::Degraded ||
-        probe.silence_s >= degraded_s)
-      return ReaderHealth::Degraded;
-    return ReaderHealth::Up;
-  }
-  // Not streaming: the supervisor is redialing. A fresh reconnect is a
-  // degradation; a supervisor that keeps failing without a completed
-  // re-arm has lost the reader.
-  if (probe.consecutive_failures >= config.dead_after_windows)
-    return ReaderHealth::Dead;
-  return ReaderHealth::Degraded;
-}
-
 // ---------------------------------------------------------------------------
 // ReaderFleet
 

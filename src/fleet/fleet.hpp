@@ -16,9 +16,9 @@
 //                                          └─ journal per shard (optional)
 //
 // - Health: a per-reader Up → Degraded → Dead machine driven by missed
-//   traffic windows (pump cadence) and external link probes — the fleet
-//   analogue of the session supervisor's Streaming/Degraded/watchdog
-//   ladder (llrp::SessionProbe feeds it via health_from_session).
+//   traffic windows (pump cadence) and external link probes
+//   (probe_reader) — the fleet analogue of the session supervisor's
+//   Streaming/Degraded/watchdog ladder.
 // - Rebalance: a dead reader's covered users are reassigned to the
 //   least-loaded live reader in bounded per-pump batches; users whose
 //   shard state was lost on the way are restored from the parked-state
@@ -52,7 +52,6 @@
 #include "core/ingest.hpp"
 #include "core/journal.hpp"
 #include "core/pipeline.hpp"
-#include "llrp/supervisor.hpp"
 
 namespace tagbreathe::fleet {
 
@@ -138,14 +137,6 @@ struct FleetEvent {
   std::size_t shard = 0;
   core::PipelineEvent event;
 };
-
-/// Maps a session supervisor's liveness sample onto fleet health: the
-/// glue between the per-connection state machine (llrp) and the fleet's
-/// coarser Up/Degraded/Dead ladder. `pump_period_s` converts the
-/// fleet's window counts into the probe's seconds.
-ReaderHealth health_from_session(const llrp::SessionProbe& probe,
-                                 const FleetConfig& config,
-                                 double pump_period_s);
 
 class ReaderFleet {
  public:

@@ -85,9 +85,10 @@ struct SupervisorConfig {
   std::uint64_t seed = 0x5EED;
 };
 
-/// Point-in-time liveness sample for an external health authority (the
-/// fleet coordinator, ISSUE 6): enough signal to classify a session as
-/// up, degraded or dead without reaching into the state machine.
+/// Point-in-time liveness sample: enough signal to classify a session as
+/// up, degraded or dead without reaching into the state machine. A host
+/// that runs a ReaderFleet reduces it to the fleet's link-up input
+/// (ReaderFleet::probe_reader).
 struct SessionProbe {
   SessionState state = SessionState::Disconnected;
   /// Seconds since the session last saw any traffic (reports,
@@ -144,8 +145,8 @@ class SessionSupervisor {
   /// Current reconnect delay (diagnostic; grows with failures).
   double backoff_s() const noexcept { return backoff_; }
 
-  /// Health sample at `now_s` for an external authority (fleet
-  /// coordinator). Pure observation: does not advance the machine.
+  /// Health sample at `now_s`. Pure observation: does not advance the
+  /// machine.
   SessionProbe probe(double now_s) const noexcept;
 
   /// Registers llrp_* instruments on `hub`: the SupervisorHealth counts

@@ -49,16 +49,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
   return taps;
 }
 
-std::vector<double> design_highpass(double cutoff_hz, double sample_rate_hz,
-                                    std::size_t num_taps, WindowType window) {
-  std::vector<double> taps =
-      design_lowpass(cutoff_hz, sample_rate_hz, num_taps, window);
-  // Spectral inversion: delta at centre minus the low-pass kernel.
-  for (double& t : taps) t = -t;
-  taps[num_taps / 2] += 1.0;
-  return taps;
-}
-
 std::vector<double> design_bandpass(double low_hz, double high_hz,
                                     double sample_rate_hz,
                                     std::size_t num_taps, WindowType window) {
@@ -121,29 +111,6 @@ std::size_t suggest_num_taps(double transition_hz, double sample_rate_hz) {
   if (n < 3) n = 3;
   if (n % 2 == 0) ++n;
   return n;
-}
-
-StreamingFir::StreamingFir(std::vector<double> taps)
-    : taps_(std::move(taps)), history_(taps_.size(), 0.0) {
-  if (taps_.empty())
-    throw std::invalid_argument("StreamingFir: empty kernel");
-}
-
-double StreamingFir::push(double x) noexcept {
-  history_[pos_] = x;
-  double acc = 0.0;
-  std::size_t idx = pos_;
-  for (double tap : taps_) {
-    acc += tap * history_[idx];
-    idx = (idx == 0) ? history_.size() - 1 : idx - 1;
-  }
-  pos_ = (pos_ + 1) % history_.size();
-  return acc;
-}
-
-void StreamingFir::reset() noexcept {
-  std::fill(history_.begin(), history_.end(), 0.0);
-  pos_ = 0;
 }
 
 }  // namespace tagbreathe::signal

@@ -21,11 +21,6 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
                                    std::size_t num_taps,
                                    WindowType window = WindowType::Hamming);
 
-/// Windowed-sinc high-pass via spectral inversion of the low-pass.
-std::vector<double> design_highpass(double cutoff_hz, double sample_rate_hz,
-                                    std::size_t num_taps,
-                                    WindowType window = WindowType::Hamming);
-
 /// Band-pass as high-pass cascaded with low-pass (designed directly as
 /// the difference of two low-pass kernels).
 std::vector<double> design_bandpass(double low_hz, double high_hz,
@@ -52,28 +47,5 @@ double frequency_response_mag(std::span<const double> taps, double freq_hz,
 /// Suggested tap count for a transition band width [Hz] using the Harris
 /// approximation for a Hamming window; always returns an odd count >= 3.
 std::size_t suggest_num_taps(double transition_hz, double sample_rate_hz);
-
-/// Streaming FIR filter holding its own delay line. Used by the realtime
-/// pipeline where samples arrive one at a time.
-class StreamingFir {
- public:
-  explicit StreamingFir(std::vector<double> taps);
-
-  /// Pushes one input sample, returns the filtered output (with the
-  /// kernel's inherent group delay).
-  double push(double x) noexcept;
-
-  void reset() noexcept;
-  std::size_t num_taps() const noexcept { return taps_.size(); }
-  /// Group delay in samples for a symmetric kernel.
-  double group_delay() const noexcept {
-    return (static_cast<double>(taps_.size()) - 1.0) / 2.0;
-  }
-
- private:
-  std::vector<double> taps_;
-  std::vector<double> history_;  // circular delay line
-  std::size_t pos_ = 0;
-};
 
 }  // namespace tagbreathe::signal

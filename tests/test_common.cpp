@@ -151,24 +151,6 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(hits / 50000.0, 0.3, 0.02);
 }
 
-TEST(Rng, SplitStreamsAreIndependent) {
-  Rng parent(99);
-  Rng child1 = parent.split();
-  Rng child2 = parent.split();
-  // Children should produce different streams from each other and the
-  // parent.
-  int same12 = 0, same1p = 0;
-  for (int i = 0; i < 100; ++i) {
-    const double c1 = child1.uniform();
-    const double c2 = child2.uniform();
-    const double p = parent.uniform();
-    if (c1 == c2) ++same12;
-    if (c1 == p) ++same1p;
-  }
-  EXPECT_LT(same12, 3);
-  EXPECT_LT(same1p, 3);
-}
-
 // --- stats -------------------------------------------------------------
 
 TEST(Stats, WelfordMatchesBatch) {

@@ -94,6 +94,17 @@ std::vector<TagRead> synthetic_stream(
   return reads;
 }
 
+/// Feeds one read through the batch path. process() keeps channel state
+/// across calls, so successive calls walk a stream read by read. Returns
+/// true and fills `delta` when the read completes a valid pair.
+bool push_one(PhasePreprocessor& pre, const TagRead& read,
+              signal::TimedSample& delta) {
+  const auto out = pre.process(std::span<const TagRead>(&read, 1));
+  if (out.empty()) return false;
+  delta = out.front();
+  return true;
+}
+
 TEST(Preprocess, RecoversDisplacementExactlyWithoutNoise) {
   const auto disp = [](double t) {
     return 0.005 * std::sin(common::kTwoPi * 0.2 * t);
@@ -131,8 +142,8 @@ TEST(Preprocess, Eq3SignAndScale) {
   cfg.spike_floor_m = 0.0;
   PhasePreprocessor pre(cfg);
   signal::TimedSample delta;
-  EXPECT_FALSE(pre.push(a, delta));  // first reading in channel
-  ASSERT_TRUE(pre.push(b, delta));
+  EXPECT_FALSE(push_one(pre, a, delta));  // first reading in channel
+  ASSERT_TRUE(push_one(pre, b, delta));
   EXPECT_NEAR(delta.value, 0.004, 1e-9);
   EXPECT_DOUBLE_EQ(delta.time_s, 0.016);
 }
@@ -140,11 +151,11 @@ TEST(Preprocess, Eq3SignAndScale) {
 TEST(Preprocess, ChannelChangeDoesNotProduceDelta) {
   PhasePreprocessor pre;
   signal::TimedSample delta;
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.0, 1, 1.0), delta));
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.016, 2, 2.0), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.0, 1, 1.0), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.016, 2, 2.0), delta));
   EXPECT_EQ(pre.stats().first_in_channel, 2u);
   // Back on channel 1 shortly after: pairs with the first reading.
-  EXPECT_TRUE(pre.push(make_read(1, 1, 1, 0.032, 1, 1.1), delta));
+  EXPECT_TRUE(push_one(pre, make_read(1, 1, 1, 0.032, 1, 1.1), delta));
 }
 
 TEST(Preprocess, WrapsPhaseDeltaAcross2Pi) {
@@ -155,8 +166,8 @@ TEST(Preprocess, WrapsPhaseDeltaAcross2Pi) {
   PhasePreprocessor pre(cfg);
   signal::TimedSample delta;
   // 6.2 -> 0.05 is a +0.133 rad step through the wrap, not -6.15.
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.0, 0, 6.2), delta));
-  ASSERT_TRUE(pre.push(make_read(1, 1, 1, 0.016, 0, 0.05), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.0, 0, 6.2), delta));
+  ASSERT_TRUE(push_one(pre, make_read(1, 1, 1, 0.016, 0, 0.05), delta));
   const double lambda = 299792458.0 / 922.25e6;
   EXPECT_NEAR(delta.value,
               lambda / (4.0 * common::kPi) *
@@ -171,11 +182,12 @@ TEST(Preprocess, DropsLongGaps) {
   cfg.max_same_channel_gap_s = 0.3;
   PhasePreprocessor pre(cfg);
   signal::TimedSample delta;
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.0, 0, 1.0), delta));
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 1.0, 0, 1.1), delta));  // gap 1 s
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.0, 0, 1.0), delta));
+  // Gap of 1 s.
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 1.0, 0, 1.1), delta));
   EXPECT_EQ(pre.stats().dropped_gap, 1u);
   // The new reading still updates the anchor: a quick follow-up pairs.
-  EXPECT_TRUE(pre.push(make_read(1, 1, 1, 1.016, 0, 1.15), delta));
+  EXPECT_TRUE(push_one(pre, make_read(1, 1, 1, 1.016, 0, 1.15), delta));
 }
 
 TEST(Preprocess, DropsOutlierSpeeds) {
@@ -183,9 +195,9 @@ TEST(Preprocess, DropsOutlierSpeeds) {
   cfg.adaptive_gap = false;
   PhasePreprocessor pre(cfg);
   signal::TimedSample delta;
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.0, 0, 0.0), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.0, 0, 0.0), delta));
   // Phase jump of ~3 rad in 16 ms -> ~0.5 m/s apparent speed: outlier.
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.016, 0, 3.0), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.016, 0, 3.0), delta));
   EXPECT_EQ(pre.stats().dropped_outlier, 1u);
 }
 
@@ -196,7 +208,7 @@ TEST(Preprocess, AdaptiveGapFastStreamUsesStrictWindow) {
   // 60 Hz stream: after warm-up the effective gap must be the strict one.
   double t = 0.0;
   for (int i = 0; i < 40; ++i) {
-    pre.push(make_read(1, 1, 1, t, static_cast<std::uint16_t>(0), 1.0),
+    push_one(pre, make_read(1, 1, 1, t, static_cast<std::uint16_t>(0), 1.0),
              delta);
     t += 1.0 / 60.0;
   }
@@ -209,7 +221,8 @@ TEST(Preprocess, AdaptiveGapSlowStreamUsesFallback) {
   signal::TimedSample delta;
   double t = 0.0;
   for (int i = 0; i < 40; ++i) {
-    pre.push(make_read(1, 1, 1, t, static_cast<std::uint16_t>(i % 10), 1.0),
+    push_one(pre,
+             make_read(1, 1, 1, t, static_cast<std::uint16_t>(i % 10), 1.0),
              delta);
     t += 0.4;  // 2.5 Hz stream
   }
@@ -219,11 +232,11 @@ TEST(Preprocess, AdaptiveGapSlowStreamUsesFallback) {
 TEST(Preprocess, ResetClearsState) {
   PhasePreprocessor pre;
   signal::TimedSample delta;
-  pre.push(make_read(1, 1, 1, 0.0, 0, 1.0), delta);
+  push_one(pre, make_read(1, 1, 1, 0.0, 0, 1.0), delta);
   pre.reset();
   EXPECT_EQ(pre.stats().reads_in, 0u);
   // First read after reset is first-in-channel again.
-  EXPECT_FALSE(pre.push(make_read(1, 1, 1, 0.016, 0, 1.1), delta));
+  EXPECT_FALSE(push_one(pre, make_read(1, 1, 1, 0.016, 0, 1.1), delta));
 }
 
 TEST(Preprocess, IntegrationIsCumulative) {

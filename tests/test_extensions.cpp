@@ -1,5 +1,5 @@
-// Unit + integration tests: recording/replay, breath-to-breath
-// statistics, and hybrid (phase + RSSI + Doppler) fusion.
+// Unit + integration tests: recording/replay and breath-to-breath
+// statistics.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,7 +7,6 @@
 
 #include "common/units.hpp"
 #include "core/breath_stats.hpp"
-#include "core/hybrid.hpp"
 #include "core/monitor.hpp"
 #include "core/pipeline.hpp"
 #include "core/replay.hpp"
@@ -204,51 +203,6 @@ TEST(BreathStats, EndToEndOnSimulatedIrregularBreathing) {
   ASSERT_GT(stats.breaths.size(), 10u);
   // Rate alternates 8 <-> 18 bpm: clearly irregular over the window.
   EXPECT_GT(stats.interval_cv, 0.2);
-}
-
-// --- hybrid fusion -------------------------------------------------------------
-
-TEST(Hybrid, QualityScoreBasics) {
-  // A clean sine scores high; noise scores low.
-  std::vector<signal::TimedSample> clean, noise;
-  common::Rng rng(9);
-  for (double t = 0.0; t < 60.0; t += 0.05) {
-    clean.push_back({t, std::sin(common::kTwoPi * 0.2 * t)});
-    noise.push_back({t, rng.normal()});
-  }
-  ZeroCrossingRateEstimator estimator;
-  const double q_clean =
-      breath_signal_quality(clean, 20.0, estimator.estimate(clean));
-  const double q_noise =
-      breath_signal_quality(noise, 20.0, estimator.estimate(noise));
-  EXPECT_GT(q_clean, 0.5);
-  EXPECT_LT(q_noise, q_clean * 0.6);
-}
-
-TEST(Hybrid, MatchesPhaseWhenPhaseIsHealthy) {
-  experiments::ScenarioConfig cfg;
-  cfg.duration_s = 120.0;
-  cfg.seed = 54;
-  experiments::Scenario scenario(cfg);
-  const auto reads = scenario.run();
-
-  HybridMonitor hybrid;
-  const auto results = hybrid.analyze(reads);
-  ASSERT_EQ(results.size(), 1u);
-  const auto& r = results[0];
-  EXPECT_TRUE(r.valid);
-  EXPECT_TRUE(r.phase.usable);
-  // Phase dominates the consensus at healthy SNR.
-  EXPECT_NEAR(r.rate_bpm, r.phase.rate_bpm, 1.0);
-  EXPECT_NEAR(r.rate_bpm, 10.0, 1.0);
-  // Phase quality (with prior) outranks the auxiliaries.
-  EXPECT_GE(r.phase.quality, r.rssi.quality);
-  EXPECT_GE(r.phase.quality, r.doppler.quality);
-}
-
-TEST(Hybrid, EmptyInput) {
-  HybridMonitor hybrid;
-  EXPECT_TRUE(hybrid.analyze({}).empty());
 }
 
 }  // namespace

@@ -170,76 +170,6 @@ TEST(ReaderChaos, BurstOverloadConfiguresReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Session probe -> fleet health glue
-
-TEST(HealthFromSession, MapsProbeOntoFleetLadder) {
-  FleetConfig cfg;  // degraded after 4 windows, dead after 12
-  const double pump = 0.25;
-
-  llrp::SessionProbe p;
-  p.streaming = true;
-  p.state = llrp::SessionState::Streaming;
-  p.silence_s = 0.1;
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Up);
-
-  p.silence_s = 4 * pump;  // one degraded window of silence
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Degraded);
-
-  p.silence_s = 0.0;
-  p.state = llrp::SessionState::Degraded;  // supervisor already demoted it
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Degraded);
-
-  p.state = llrp::SessionState::Streaming;
-  p.silence_s = 12 * pump;  // watchdog-scale silence
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Dead);
-
-  llrp::SessionProbe redialing;  // not streaming: reconnect in progress
-  redialing.streaming = false;
-  redialing.consecutive_failures = 1;
-  EXPECT_EQ(health_from_session(redialing, cfg, pump), ReaderHealth::Degraded);
-  redialing.consecutive_failures = 12;
-  EXPECT_EQ(health_from_session(redialing, cfg, pump), ReaderHealth::Dead);
-}
-
-// The ladder's comparisons are >= on both silence thresholds: exactly
-// at the boundary demotes (never the forgiving side), one tick below
-// does not. The redial branch mirrors that for the failure streak.
-TEST(HealthFromSession, ExactThresholdEdges) {
-  FleetConfig cfg;  // degraded after 4 windows, dead after 12
-  const double pump = 0.25;
-  const double degraded_s = 4 * pump;  // 1.0 — exact in binary
-  const double dead_s = 12 * pump;     // 3.0
-
-  llrp::SessionProbe p;
-  p.streaming = true;
-  p.state = llrp::SessionState::Streaming;
-
-  p.silence_s = degraded_s - 0.01;
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Up);
-  p.silence_s = degraded_s;
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Degraded);
-  p.silence_s = dead_s - 0.01;
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Degraded);
-  p.silence_s = dead_s;
-  EXPECT_EQ(health_from_session(p, cfg, pump), ReaderHealth::Dead);
-
-  // Redialing supervisor: one failure short of the dead threshold is
-  // still only Degraded; at the threshold the reader is lost; and a
-  // fresh streak of zero (dial in flight, nothing failed yet) is a
-  // degradation, never Up.
-  llrp::SessionProbe redialing;
-  redialing.streaming = false;
-  redialing.consecutive_failures = 11;
-  EXPECT_EQ(health_from_session(redialing, cfg, pump),
-            ReaderHealth::Degraded);
-  redialing.consecutive_failures = 12;
-  EXPECT_EQ(health_from_session(redialing, cfg, pump), ReaderHealth::Dead);
-  redialing.consecutive_failures = 0;
-  EXPECT_EQ(health_from_session(redialing, cfg, pump),
-            ReaderHealth::Degraded);
-}
-
-// ---------------------------------------------------------------------------
 // Routing, merge order, handoff
 
 TEST(ReaderFleet, RoutesUsersToTheirHashShard) {

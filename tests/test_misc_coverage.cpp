@@ -1,35 +1,18 @@
-// Coverage for the remaining small surfaces: logging, BreathSignal
-// accessors, reader statistics, pipeline edge cases, hybrid config.
+// Coverage for the remaining small surfaces: BreathSignal accessors,
+// reader statistics and pipeline edge cases.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "body/subject.hpp"
-#include "common/logging.hpp"
 #include "common/units.hpp"
 #include "core/breath_extractor.hpp"
-#include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
 #include "experiments/scenario.hpp"
 #include "rfid/reader.hpp"
 
 namespace tagbreathe {
 namespace {
-
-// --- logging -----------------------------------------------------------------
-
-TEST(Logging, LevelGateIsRespected) {
-  const auto previous = common::log_level();
-  common::set_log_level(common::LogLevel::Error);
-  EXPECT_EQ(common::log_level(), common::LogLevel::Error);
-  // Below-threshold messages must not crash and are simply dropped; the
-  // stream interface accepts heterogeneous operands.
-  common::log_debug() << "dropped " << 42 << " things";
-  common::log_info() << "also dropped";
-  common::set_log_level(common::LogLevel::Off);
-  common::log_error() << "dropped even at error level";
-  common::set_log_level(previous);
-}
 
 // --- BreathSignal accessors ----------------------------------------------------
 
@@ -111,29 +94,6 @@ TEST(PipelineEdges, NoEventsBeforeWarmup) {
       [&events](const core::PipelineEvent&) { ++events; });
   for (const auto& r : scenario.run()) pipeline.push(r);
   EXPECT_EQ(events, 0u);
-}
-
-// --- hybrid config knobs ----------------------------------------------------------
-
-TEST(HybridConfig, PriorZeroDemotesPhase) {
-  // With a zero phase prior the phase modality scores zero quality and
-  // is excluded; the consensus must fall back to the auxiliaries (or be
-  // invalid) rather than crash.
-  experiments::ScenarioConfig cfg;
-  cfg.duration_s = 60.0;
-  cfg.seed = 73;
-  experiments::Scenario scenario(cfg);
-  const auto reads = scenario.run();
-
-  core::HybridConfig hc;
-  hc.phase_prior = 0.0;
-  core::HybridMonitor hybrid(hc);
-  const auto results = hybrid.analyze(reads);
-  ASSERT_EQ(results.size(), 1u);
-  if (results[0].valid) {
-    // Whatever the auxiliaries produced, it came from them.
-    EXPECT_TRUE(results[0].rssi.usable || results[0].doppler.usable);
-  }
 }
 
 }  // namespace

@@ -89,9 +89,7 @@ TEST_P(PreprocessRecovery, NoiseFreeTrackMatchesTruth) {
   rfid::PhaseModel phase{rfid::PhaseModelConfig{}};
   const double f = common::bpm_to_hz(rate_bpm);
 
-  core::PhasePreprocessor pre;
-  std::vector<signal::TimedSample> deltas;
-  signal::TimedSample delta;
+  std::vector<core::TagRead> reads;
   for (double t = 0.0; t < 30.0; t += 1.0 / 60.0) {
     const auto ch = hops.channel_at(t);
     core::TagRead r;
@@ -101,8 +99,10 @@ TEST_P(PreprocessRecovery, NoiseFreeTrackMatchesTruth) {
     r.frequency_hz = plan.frequency_hz(ch);
     const double d = 3.0 + 0.005 * std::sin(common::kTwoPi * f * t);
     r.phase_rad = phase.ideal_phase(d, plan.wavelength_m(ch), ch, 9);
-    if (pre.push(r, delta)) deltas.push_back(delta);
+    reads.push_back(r);
   }
+  core::PhasePreprocessor pre;
+  const auto deltas = pre.process(reads);
   ASSERT_GT(deltas.size(), 500u);
   const auto track = core::integrate_displacement(deltas);
   double max_err = 0.0;

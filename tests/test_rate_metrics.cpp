@@ -76,36 +76,6 @@ TEST(RateEstimator, ConfigValidation) {
   RateEstimatorConfig bad;
   bad.buffered_crossings = 1;
   EXPECT_THROW(ZeroCrossingRateEstimator{bad}, std::invalid_argument);
-  EXPECT_THROW(StreamingRateTracker{bad}, std::invalid_argument);
-}
-
-TEST(StreamingTracker, Eq5AfterMCrossings) {
-  RateEstimatorConfig cfg;  // M = 7
-  StreamingRateTracker tracker(cfg);
-  // Crossings every 2 s: rate = 6/(2*12) Hz = 0.25 Hz = 15 bpm.
-  std::optional<RatePoint> point;
-  for (int i = 0; i < 7; ++i) {
-    point = tracker.push_crossing(2.0 * i);
-    if (i < 6) {
-      EXPECT_FALSE(point.has_value()) << i;
-    }
-  }
-  ASSERT_TRUE(point.has_value());
-  EXPECT_NEAR(point->rate_bpm, 15.0, 1e-9);
-  EXPECT_NEAR(tracker.current_rate_bpm().value(), 15.0, 1e-9);
-  // Sliding: the next crossing updates over the newest window.
-  point = tracker.push_crossing(13.0);  // last gap 1 s (faster)
-  ASSERT_TRUE(point.has_value());
-  EXPECT_GT(point->rate_bpm, 15.0);
-}
-
-TEST(StreamingTracker, SilenceAndReset) {
-  StreamingRateTracker tracker;
-  EXPECT_DOUBLE_EQ(tracker.silence_s(5.0), 5.0);  // never crossed
-  tracker.push_crossing(2.0);
-  EXPECT_DOUBLE_EQ(tracker.silence_s(7.5), 5.5);
-  tracker.reset();
-  EXPECT_FALSE(tracker.current_rate_bpm().has_value());
 }
 
 TEST(FftPeak, RawBinQuantisesTo1OverWindow) {
