@@ -28,9 +28,7 @@ constexpr char kSegmentMagic[8] = {'T', 'B', 'J', 'S', 'E', 'G', '0', '1'};
 constexpr std::uint32_t kFrameMagic = 0x54424A52u;  // "TBJR" little-endian
 constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 8 + 4;
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4;
-// u64 seq + TagRead (f64 time, 12 B EPC, u8 antenna, u16 channel,
-// 4×f64 radio fields).
-constexpr std::size_t kRecordPayloadBytes = 8 + 8 + 12 + 1 + 2 + 4 * 8;
+constexpr std::size_t kRecordPayloadBytes = 8 + kTagReadBytes;  // u64 seq
 // Sanity bound on the length field: one flipped bit must not make the
 // scanner treat megabytes of file as a single frame.
 constexpr std::uint32_t kMaxPayloadBytes = 4096;

@@ -125,7 +125,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// TagRead wire codec (fixed 55 bytes) shared by journal and snapshot.
+/// TagRead wire codec shared by journal and snapshot: f64 time, 12 B EPC,
+/// u8 antenna, u16 channel, 4×f64 radio fields.
+inline constexpr std::size_t kTagReadBytes = 8 + 12 + 1 + 2 + 4 * 8;
 void encode_tag_read(ByteWriter& out, const TagRead& read);
 TagRead decode_tag_read(ByteReader& in);
 

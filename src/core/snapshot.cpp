@@ -67,13 +67,31 @@ std::vector<std::pair<std::uint64_t, fs::path>> list_snapshots(
 
 // --- section codecs --------------------------------------------------------
 
+// Smallest encoded size of one element of each counted list.
+constexpr std::size_t kPipelineUserBytes = 28;    // id, 2 times, 4 flags
+constexpr std::size_t kSeenBytes = 16;            // user, count
+constexpr std::size_t kDemuxStreamBytes = 21;     // key + empty read list
+constexpr std::size_t kValidatorStreamBytes = 29; // key, time, phase
+constexpr std::size_t kLruBytes = 8;
+
+/// Reads an element count and bounds it by what the rest of the section
+/// can hold, so a corrupt count that still passes the CRC fails as a
+/// DurabilityError rather than as an oversized reserve.
+std::uint64_t read_count(ByteReader& in, std::size_t min_element_bytes) {
+  const std::uint64_t n = in.u64();
+  if (n > in.remaining() / min_element_bytes)
+    throw DurabilityError("snapshot: element count " + std::to_string(n) +
+                          " exceeds the section size");
+  return n;
+}
+
 void encode_reads(ByteWriter& out, const std::vector<TagRead>& reads) {
   out.put_u64(reads.size());
   for (const TagRead& r : reads) encode_tag_read(out, r);
 }
 
 std::vector<TagRead> decode_reads(ByteReader& in) {
-  const std::uint64_t n = in.u64();
+  const std::uint64_t n = read_count(in, kTagReadBytes);
   std::vector<TagRead> reads;
   reads.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) reads.push_back(decode_tag_read(in));
@@ -110,7 +128,7 @@ PipelineState decode_pipeline(ByteReader& in) {
   state.next_update_s = in.f64();
   state.started = in.u8() != 0;
   state.users_evicted = in.u64();
-  const std::uint64_t n_users = in.u64();
+  const std::uint64_t n_users = read_count(in, kPipelineUserBytes);
   state.users.reserve(n_users);
   for (std::uint64_t i = 0; i < n_users; ++i) {
     PipelineState::User u;
@@ -123,7 +141,7 @@ PipelineState decode_pipeline(ByteReader& in) {
     u.health = static_cast<SignalHealth>(in.u8());
     state.users.push_back(u);
   }
-  const std::uint64_t n_seen = in.u64();
+  const std::uint64_t n_seen = read_count(in, kSeenBytes);
   state.last_seen_reads.reserve(n_seen);
   for (std::uint64_t i = 0; i < n_seen; ++i) {
     const std::uint64_t user = in.u64();
@@ -156,7 +174,7 @@ DemuxState decode_demux(ByteReader& in) {
   state.accepted = in.u64();
   state.ignored = in.u64();
   state.shed = in.u64();
-  const std::uint64_t n_streams = in.u64();
+  const std::uint64_t n_streams = read_count(in, kDemuxStreamBytes);
   state.streams.reserve(n_streams);
   for (std::uint64_t i = 0; i < n_streams; ++i) {
     DemuxState::Stream s;
@@ -166,7 +184,7 @@ DemuxState decode_demux(ByteReader& in) {
     s.reads = decode_reads(in);
     state.streams.push_back(std::move(s));
   }
-  const std::uint64_t n_seen = in.u64();
+  const std::uint64_t n_seen = read_count(in, kSeenBytes);
   state.reads_seen.reserve(n_seen);
   for (std::uint64_t i = 0; i < n_seen; ++i) {
     const std::uint64_t user = in.u64();
@@ -195,7 +213,7 @@ ValidatorState decode_validator(ByteReader& in) {
   ValidatorState state;
   state.any_admitted = in.u8() != 0;
   state.last_admitted_s = in.f64();
-  const std::uint64_t n_streams = in.u64();
+  const std::uint64_t n_streams = read_count(in, kValidatorStreamBytes);
   state.streams.reserve(n_streams);
   for (std::uint64_t i = 0; i < n_streams; ++i) {
     ValidatorState::Stream s;
@@ -206,7 +224,7 @@ ValidatorState decode_validator(ByteReader& in) {
     s.last_phase_rad = in.f64();
     state.streams.push_back(s);
   }
-  const std::uint64_t n_lru = in.u64();
+  const std::uint64_t n_lru = read_count(in, kLruBytes);
   state.lru_order.reserve(n_lru);
   for (std::uint64_t i = 0; i < n_lru; ++i)
     state.lru_order.push_back(in.u64());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "core/recovery.hpp"
 #include "core/replay.hpp"
 #include "core/snapshot.hpp"
+#include "byte_mutation.hpp"
 #include "soak_invariants.hpp"
 
 namespace fs = std::filesystem;
@@ -338,6 +340,77 @@ TEST(Journal, InjectedCrashMidAppendWedgesWriter) {
   EXPECT_LE(scan.max_seq, 1u);
 }
 
+// Seeded mutation, modelled on LoadReadsCsvFuzz below: one segment of 12
+// records takes one byte_mutation.hpp mutation per case.
+// The scan never throws, delivers only records that match what was
+// written, still delivers every record that ends before the damage, and
+// counts a damaged frame body or a cut frame.
+TEST(JournalFuzz, SeededRandomMutationsNeverThrow) {
+  TempDir dir("journal_fuzz");
+  constexpr std::size_t kRecords = 12;
+  constexpr std::size_t kHeader = 24;  // segment header
+  std::vector<TagRead> written;
+  {
+    JournalWriter writer(journal_config(dir));
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      written.push_back(make_read(0.1 * static_cast<double>(i), 1, 1,
+                                  0.01 * static_cast<double>(i)));
+      writer.append(written.back());
+    }
+  }
+  const auto segments = files_with_ext(dir.path, ".tbj");
+  ASSERT_EQ(segments.size(), 1u);
+  const std::vector<std::uint8_t> base = read_file(segments[0]);
+  ASSERT_EQ((base.size() - kHeader) % kRecords, 0u);
+  const std::size_t frame_bytes = (base.size() - kHeader) / kRecords;
+
+  common::Rng rng(0x7B1A5EEDull);
+  constexpr int kCases = 400;
+  for (int iter = 0; iter < kCases; ++iter) {
+    std::vector<std::uint8_t> bytes = base;
+    const auto [kind, pos] = testutil::mutate_once(rng, bytes);
+    write_file(segments[0], bytes);
+
+    std::vector<std::uint64_t> seqs;
+    JournalScanResult scan;
+    try {
+      scan = scan_journal(dir.str(), 0, [&](const JournalRecord& r) {
+        ASSERT_GE(r.seq, 1u);
+        ASSERT_LE(r.seq, kRecords);
+        const TagRead& w = written[r.seq - 1];
+        EXPECT_EQ(r.read.time_s, w.time_s) << "case " << iter;
+        EXPECT_EQ(r.read.phase_rad, w.phase_rad) << "case " << iter;
+        seqs.push_back(r.seq);
+      });
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << iter << " threw: " << e.what();
+      continue;
+    }
+    EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end())) << "case " << iter;
+
+    // Records that end at or before the first damaged byte are intact.
+    const std::size_t intact =
+        pos < kHeader ? 0 : std::min(kRecords, (pos - kHeader) / frame_bytes);
+    ASSERT_GE(seqs.size(), intact) << "case " << iter;
+    for (std::size_t i = 0; i < intact; ++i)
+      EXPECT_EQ(seqs[i], i + 1) << "case " << iter;
+
+    if (pos < kHeader) continue;
+    const std::size_t in_frame = (pos - kHeader) % frame_bytes;
+    if (kind == testutil::MutationKind::Truncate && in_frame != 0) {
+      EXPECT_EQ(scan.counters.journal_truncated_tails, 1u) << "case " << iter;
+    }
+    // A flipped bit past the frame magic (length, CRC or payload) is
+    // always a counted corrupt record or a torn tail.
+    if (kind == testutil::MutationKind::Flip && in_frame >= 4) {
+      EXPECT_GE(scan.counters.journal_records_corrupt +
+                    scan.counters.journal_truncated_tails,
+                1u)
+          << "case " << iter;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots
 
@@ -538,6 +611,158 @@ TEST(Snapshot, ConfigValidation) {
   cfg.directory = "/tmp/x";
   cfg.keep = 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+// --- oversized element counts ------------------------------------------------
+
+namespace {
+
+/// A small hand-built SnapshotData touching every counted list, so an
+/// exhaustive per-offset sweep stays cheap.
+SnapshotData make_small_snapshot() {
+  SnapshotData data;
+  data.last_journal_seq = 5;
+  data.now_s = 12.0;
+  data.pipeline.now_s = 12.0;
+  data.pipeline.started = true;
+  for (std::uint64_t user = 1; user <= 2; ++user) {
+    PipelineState::User u;
+    u.user_id = user;
+    u.last_read_s = 11.5;
+    data.pipeline.users.push_back(u);
+    data.pipeline.last_seen_reads.emplace_back(user, 3);
+    DemuxState::Stream stream;
+    stream.key.user_id = user;
+    stream.key.tag_id = 1;
+    stream.key.antenna_id = 1;
+    stream.reads = {make_read(11.0, user, 1, 0.1),
+                    make_read(11.5, user, 1, 0.2)};
+    data.pipeline.demux.streams.push_back(stream);
+    data.pipeline.demux.reads_seen.emplace_back(user, 2);
+    ValidatorState::Stream vs;
+    vs.user_id = user;
+    vs.tag_id = 1;
+    vs.antenna_id = 1;
+    vs.last_time_s = 11.5;
+    data.validator.streams.push_back(vs);
+    data.validator.lru_order.push_back(user);
+  }
+  data.validator.any_admitted = true;
+  return data;
+}
+
+/// Writes the low `width` bytes of `v` little-endian at `at`.
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+            std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Recomputes the header CRC and every section CRC that still fits in
+/// the file, so a mutation is judged by the decoder, not by a checksum.
+void refresh_snapshot_crcs(std::vector<std::uint8_t>& bytes) {
+  constexpr std::size_t kHeader = 36;
+  if (bytes.size() < kHeader) return;
+  put_le(bytes, 32, common::crc32(bytes.data() + 8, 24), 4);
+  std::size_t pos = kHeader;
+  while (bytes.size() - pos >= 12) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      len |= static_cast<std::uint32_t>(bytes[pos + 4 + i]) << (8 * i);
+    if (bytes.size() - pos - 12 < len) break;
+    put_le(bytes, pos + 8, common::crc32(bytes.data() + pos + 12, len), 4);
+    pos += 12 + len;
+  }
+}
+
+/// True when `bytes` decode; false on a DurabilityError. Any other
+/// exception is a test failure.
+bool decodes(const std::vector<std::uint8_t>& bytes, const std::string& what) {
+  try {
+    decode_snapshot(bytes.data(), bytes.size());
+    return true;
+  } catch (const DurabilityError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " escaped as a non-DurabilityError: " << e.what();
+    return false;
+  }
+}
+
+}  // namespace
+
+// A CRC-valid snapshot with a huge count at any 8-byte offset must be
+// refused as a DurabilityError, never reach a reserve() that throws
+// bad_alloc/length_error past load_newest_snapshot's fallback.
+TEST(SnapshotFuzz, HugeCountAtEveryOffsetIsRefusedTyped) {
+  const std::vector<std::uint8_t> base = encode_snapshot(make_small_snapshot());
+  std::size_t refused = 0;
+  for (std::size_t at = 36; at + 8 <= base.size(); ++at) {
+    std::vector<std::uint8_t> bytes = base;
+    put_le(bytes, at, std::uint64_t{1} << 60, 8);
+    refresh_snapshot_crcs(bytes);
+    if (!decodes(bytes, "offset " + std::to_string(at))) ++refused;
+  }
+  EXPECT_GT(refused, 0u);
+}
+
+// Seeded mutation with CRC fix-up, modelled on LoadReadsCsvFuzz: each
+// input decodes or throws DurabilityError, nothing else.
+TEST(SnapshotFuzz, SeededRandomMutationsDecodeOrRefuse) {
+  const std::vector<std::uint8_t> base = encode_snapshot(make_small_snapshot());
+  common::Rng rng(0x5A5A0FF5ull);
+  constexpr int kCases = 2000;
+  std::size_t decoded = 0, refused = 0;
+  for (int iter = 0; iter < kCases; ++iter) {
+    std::vector<std::uint8_t> bytes = base;
+    const int edits = rng.uniform_int(1, 3);
+    for (int e = 0; e < edits; ++e) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(8, static_cast<int>(bytes.size()) - 8));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+          break;
+        case 1:
+          bytes[pos] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+          break;
+        default:  // a large count-shaped word
+          put_le(bytes, pos, std::uint64_t{1} << rng.uniform_int(16, 63), 8);
+      }
+    }
+    refresh_snapshot_crcs(bytes);
+    if (decodes(bytes, "case " + std::to_string(iter))) ++decoded;
+    else ++refused;
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(Snapshot, HugeCountRejectedWithFallback) {
+  TempDir dir("snapshot_count");
+  SnapshotConfig cfg;
+  cfg.directory = dir.str();
+  cfg.fsync = false;
+  SnapshotWriter writer(cfg);
+  writer.write(make_snapshot_fixture(11));
+  writer.write(make_snapshot_fixture(22));
+
+  // The pipeline section's user count sits after its three f64 clocks,
+  // the started flag and the eviction counter.
+  const auto files = files_with_ext(dir.path, ".tbs");
+  ASSERT_EQ(files.size(), 2u);
+  std::vector<std::uint8_t> bytes = read_file(files[1]);
+  put_le(bytes, 36 + 12 + 8 + 8 + 8 + 1 + 8, std::uint64_t{1} << 60, 8);
+  refresh_snapshot_crcs(bytes);
+  write_file(files[1], bytes);
+
+  const SnapshotLoadReport report = load_newest_snapshot(dir.str());
+  ASSERT_TRUE(report.data.has_value());
+  EXPECT_EQ(report.data->last_journal_seq, 11u);
+  ASSERT_EQ(report.rejected.size(), 1u);
+  EXPECT_NE(report.rejected[0].find("exceeds the section size"),
+            std::string::npos)
+      << report.rejected[0];
 }
 
 // ---------------------------------------------------------------------------

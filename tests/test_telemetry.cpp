@@ -26,6 +26,8 @@
 #include "telemetry/telemetry_soak.hpp"
 #include "telemetry/wire.hpp"
 
+#include "byte_mutation.hpp"
+
 using namespace tagbreathe;
 using namespace tagbreathe::telemetry;
 
@@ -174,6 +176,66 @@ TEST(WireProtocol, RejectsMalformedStreams) {
   EXPECT_FALSE(parser.next().has_value());
   parser.feed(std::span<const std::uint8_t>(&bytes.back(), 1));
   EXPECT_TRUE(parser.next().has_value());
+}
+
+// Seeded mutation, modelled on LoadReadsCsvFuzz in test_durability: a
+// stream holding every frame type takes one byte_mutation.hpp mutation
+// per case, then is fed in random chunks. Only frames, nullopt or
+// llrp::DecodeError may come out, and every frame that ends before the
+// damaged byte still parses.
+TEST(WireProtocol, SeededRandomMutationsNeverCrash) {
+  SubscribeFrame sub;
+  sub.filter = {FilterKind::User, 3};
+  sub.policy = OverflowPolicy::Disconnect;
+  sub.resume_cursor = 8;
+  EventFrame ev;
+  ev.event = make_event(77, 1, make_pipeline_event(3, 4.5));
+  const Frame frames[] = {Frame{sub},
+                          Frame{HeartbeatFrame{2.5}},
+                          Frame{SubAckFrame{4, 9, 2, 1}},
+                          Frame{ev},
+                          Frame{GapFrame{50, 6}},
+                          Frame{ShedFrame{ShedReason::Overflow}}};
+  std::vector<std::uint8_t> base;
+  std::vector<std::size_t> frame_ends;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const Frame& frame : frames) {
+      const auto bytes = encode_frame(frame);
+      base.insert(base.end(), bytes.begin(), bytes.end());
+      frame_ends.push_back(base.size());
+    }
+  }
+
+  common::Rng rng(0x7E1E7E1Eull);
+  constexpr int kCases = 3000;
+  std::size_t parsed = 0, refused = 0;
+  for (int iter = 0; iter < kCases; ++iter) {
+    std::vector<std::uint8_t> bytes = base;
+    const std::size_t pos = testutil::mutate_once(rng, bytes).pos;
+    const auto intact = static_cast<std::size_t>(std::count_if(
+        frame_ends.begin(), frame_ends.end(),
+        [pos](std::size_t end) { return end <= pos; }));
+
+    // Any exception other than DecodeError escapes and fails the test.
+    FrameParser parser;
+    std::size_t got = 0;
+    try {
+      for (std::size_t at = 0; at < bytes.size();) {
+        const std::size_t chunk = std::min(
+            bytes.size() - at,
+            static_cast<std::size_t>(rng.uniform_int(1, 48)));
+        parser.feed(std::span<const std::uint8_t>(bytes.data() + at, chunk));
+        at += chunk;
+        while (parser.next().has_value()) ++got;
+      }
+    } catch (const llrp::DecodeError&) {
+      ++refused;
+    }
+    EXPECT_GE(got, intact) << "case " << iter;
+    parsed += got;
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(WireProtocol, NamesAreStable) {
