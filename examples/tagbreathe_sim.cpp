@@ -81,6 +81,7 @@ int cmd_record(const std::string& ini_path, const std::string& out_path) {
   scenario.reader().run(cfg.duration_s, [&recorder](const core::TagRead& r) {
     recorder.record(r);
   });
+  recorder.flush();  // throws if the capture did not reach the file
   std::printf("recorded %zu reads to %s\n", recorder.recorded(),
               out_path.c_str());
   return 0;
