@@ -90,7 +90,7 @@ std::vector<BaselineResult> analyze_baseline(std::span<const TagRead> reads,
     result.breath = extractor.extract(uniform, config.resample_hz);
 
     const ZeroCrossingRateEstimator estimator(config.rate);
-    const RateEstimate est = estimator.estimate(result.breath.samples);
+    const RateEstimate est = estimator.estimate(result.breath);
     result.rate_bpm = est.rate_bpm;
     result.reliable = est.reliable;
     out.push_back(result);

@@ -252,7 +252,7 @@ void BreathMonitor::analyze_users(const StreamDemux& demux,
   for (std::size_t j = 0; j < count; ++j) {
     if (out[j].fused_track.size() < 8) continue;  // finished in stage A
     const double mark = obs_.hub != nullptr ? obs_.hub->now() : 0.0;
-    out[j].rate = estimator.estimate(out[j].breath.samples);
+    out[j].rate = estimator.estimate(out[j].breath);
     if (obs_.hub != nullptr) {
       obs_.estimate->observe(obs_.hub->now() - mark);
       obs_.hub->trace().exit(obs_.trace_stage, t1, user_ids[j]);

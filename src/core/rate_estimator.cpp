@@ -19,15 +19,19 @@ ZeroCrossingRateEstimator::ZeroCrossingRateEstimator(
 }
 
 RateEstimate ZeroCrossingRateEstimator::estimate(
-    std::span<const signal::TimedSample> breath) const {
+    const BreathSignal& breath) const {
+  return estimate(breath.samples, breath.input_scale);
+}
+
+RateEstimate ZeroCrossingRateEstimator::estimate(
+    std::span<const signal::TimedSample> breath, double input_scale) const {
   RateEstimate out;
   if (breath.size() < 4) return out;
 
-  std::vector<double> values;
-  values.reserve(breath.size());
-  for (const auto& s : breath) values.push_back(s.value);
-  const double hyst =
-      signal::hysteresis_from_peak(values, config_.hysteresis_fraction);
+  double peak = 0.0;
+  for (const auto& s : breath) peak = std::max(peak, std::abs(s.value));
+  if (peak < kResidueFloor * input_scale) return out;  // rounding residue
+  const double hyst = config_.hysteresis_fraction * peak;
   out.crossings = signal::detect_zero_crossings(breath, hyst);
 
   const auto m = static_cast<std::size_t>(config_.buffered_crossings);

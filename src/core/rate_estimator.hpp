@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/breath_extractor.hpp"
 #include "signal/interpolate.hpp"
 #include "signal/zero_crossing.hpp"
 
@@ -59,12 +60,26 @@ struct RateEstimate {
   bool reliable = false;
 };
 
+/// A band signal whose peak lies below this fraction of its input
+/// track's scale is rounding residue, not breathing: the hysteresis
+/// scales with the signal's own peak, so without the floor residue would
+/// still yield crossings and a rate. Such a signal has no crossings and
+/// no rate.
+inline constexpr double kResidueFloor = 1e-9;
+
 /// Batch zero-crossing estimator over an extracted breath signal.
 class ZeroCrossingRateEstimator {
  public:
   explicit ZeroCrossingRateEstimator(RateEstimatorConfig config = {});
 
-  RateEstimate estimate(std::span<const signal::TimedSample> breath) const;
+  /// Estimates from the signal's samples, held to the residue floor of
+  /// its input_scale.
+  RateEstimate estimate(const BreathSignal& breath) const;
+
+  /// `input_scale` is the peak |value| of the track the signal was
+  /// extracted from; 0 (unknown) disables the residue floor.
+  RateEstimate estimate(std::span<const signal::TimedSample> breath,
+                        double input_scale = 0.0) const;
 
   const RateEstimatorConfig& config() const noexcept { return config_; }
 

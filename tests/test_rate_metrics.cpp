@@ -1,11 +1,12 @@
 // Unit tests: rate estimation (Eq. 5, median-period window estimate,
-// streaming tracker, FFT-peak baseline) and metrics (Eq. 8).
+// residue floor, FFT-peak baseline) and metrics (Eq. 8).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "common/units.hpp"
+#include "core/breath_extractor.hpp"
 #include "core/metrics.hpp"
 #include "core/rate_estimator.hpp"
 
@@ -76,6 +77,54 @@ TEST(RateEstimator, ConfigValidation) {
   RateEstimatorConfig bad;
   bad.buffered_crossings = 1;
   EXPECT_THROW(ZeroCrossingRateEstimator{bad}, std::invalid_argument);
+}
+
+// --- residue floor -------------------------------------------------------
+
+// A 30 s track at 20 Hz on the realtime grid (601 samples), run through
+// the default extractor and estimated from the resulting BreathSignal.
+RateEstimate estimate_track(double (*value)(double t)) {
+  std::vector<TimedSample> track;
+  for (int i = 0; i <= 600; ++i) {
+    const double t = i / 20.0;
+    track.push_back({t, value(t)});
+  }
+  const BreathSignal breath = BreathExtractor().extract(track, 20.0);
+  return ZeroCrossingRateEstimator().estimate(breath);
+}
+
+TEST(RateEstimatorResidue, ConstantTrackGivesNoRate) {
+  const RateEstimate est = estimate_track([](double) { return 0.37; });
+  EXPECT_TRUE(est.crossings.empty());
+  EXPECT_EQ(est.rate_bpm, 0.0);
+  EXPECT_FALSE(est.reliable);
+}
+
+TEST(RateEstimatorResidue, NearConstantTrackGivesNoRate) {
+  // A ramp plus a breathing tone at 1e-13 of the track's level: the
+  // detrended band signal is below the floor, so it is residue.
+  const RateEstimate est = estimate_track([](double t) {
+    return 0.37 + 0.01 * t + 1e-13 * std::sin(kTwoPi * 0.25 * t);
+  });
+  EXPECT_TRUE(est.crossings.empty());
+  EXPECT_EQ(est.rate_bpm, 0.0);
+  EXPECT_FALSE(est.reliable);
+}
+
+TEST(RateEstimatorResidue, LowAmplitudeBreathingStillGivesARate) {
+  // 1 um of chest motion at 15 bpm, with no offset to dwarf it.
+  const RateEstimate est = estimate_track(
+      [](double t) { return 1e-6 * std::sin(kTwoPi * 0.25 * t); });
+  EXPECT_NEAR(est.rate_bpm, 15.0, 0.5);
+  EXPECT_TRUE(est.reliable);
+}
+
+TEST(RateEstimatorResidue, UnknownScaleDisablesTheFloor) {
+  const auto breath = sine_signal(0.2, 20.0, 60.0);
+  ZeroCrossingRateEstimator estimator;
+  EXPECT_NEAR(estimator.estimate(breath, 0.0).rate_bpm, 12.0, 0.1);
+  // The same signal read against a scale 1e12 times its peak is residue.
+  EXPECT_EQ(estimator.estimate(breath, 1e12).rate_bpm, 0.0);
 }
 
 TEST(FftPeak, RawBinQuantisesTo1OverWindow) {
