@@ -82,34 +82,6 @@ TEST(DominantFrequency, RespectsBand) {
   EXPECT_EQ(dominant_frequency(x, 20.0, 10.5, 11.0), 0.0);
 }
 
-// --- significant peak search ----------------------------------------------------
-
-TEST(DominantFrequencySignificant, FindsWeakToneInColoredNoise) {
-  common::Rng rng(6);
-  std::vector<double> x(2400);
-  double walk = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    walk += rng.normal(0.0, 0.003);
-    x[i] = walk + rng.normal(0.0, 0.002) +
-           0.01 * std::sin(kTwoPi * 0.22 * static_cast<double>(i) / 20.0);
-  }
-  detrend_linear(x);
-  const double f = dominant_frequency_significant(x, 20.0, 0.075, 0.67);
-  EXPECT_NEAR(f, 0.22, 0.05);
-}
-
-TEST(DominantFrequencySignificant, PrefersFundamentalOverHarmonic) {
-  // Asymmetric waveform: fundamental 0.2 Hz plus a strong 0.4 Hz harmonic.
-  std::vector<double> x(2400);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double t = static_cast<double>(i) / 20.0;
-    x[i] = std::sin(kTwoPi * 0.2 * t) + 0.6 * std::sin(kTwoPi * 0.4 * t);
-  }
-  add_noise(x, 0.05, 7);
-  const double f = dominant_frequency_significant(x, 20.0, 0.075, 0.67);
-  EXPECT_NEAR(f, 0.2, 0.03);
-}
-
 // --- autocorrelation fundamental -------------------------------------------------
 
 TEST(AcfFundamental, ExactOnCleanSine) {
@@ -285,23 +257,6 @@ TEST(Goertzel, MatchesFftBinPower) {
   EXPECT_NEAR(p, 0.25, 0.01);
   // Power at a far-away bin should be tiny.
   EXPECT_LT(goertzel_power(x, 20.0, 7.0), 1e-6);
-}
-
-// --- band power ratio ---------------------------------------------------------------
-
-TEST(BandPowerRatio, ConcentratedToneScoresHigh) {
-  const auto x = sine(0.25, 20.0, 1000);
-  EXPECT_GT(band_power_ratio(x, 20.0, 0.1, 0.5), 0.95);
-  EXPECT_LT(band_power_ratio(x, 20.0, 1.0, 5.0), 0.05);
-}
-
-TEST(BandPowerRatio, WhiteNoiseIsProportionalToBandwidth) {
-  common::Rng rng(23);
-  std::vector<double> x(4000);
-  for (auto& v : x) v = rng.normal();
-  // [0, 10] Hz total; [1, 2] covers ~10%.
-  const double r = band_power_ratio(x, 20.0, 1.0, 2.0);
-  EXPECT_NEAR(r, 0.1, 0.04);
 }
 
 }  // namespace
