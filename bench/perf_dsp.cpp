@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks of the DSP kernels on the TagBreathe
 // hot path: FFT, the FFT low-pass, FIR design/filtering, preprocessing,
-// fusion, the ACF fundamental search and the batched extraction sweep.
+// fusion, the ACF fundamental search, the batched extraction sweep with
+// its band-path stages, and the band/full crossover sweep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "core/fusion.hpp"
 #include "core/phase_preprocess.hpp"
 #include "signal/fft.hpp"
+#include "signal/filters.hpp"
 #include "signal/fir.hpp"
 #include "signal/simd/dispatch.hpp"
 #include "signal/simd/kernels.hpp"
@@ -327,6 +330,132 @@ void BM_ExtractManyBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kTracks));
 }
 BENCHMARK(BM_ExtractManyBatch)->Arg(600)->Arg(601)->Unit(benchmark::kMicrosecond);
+
+void BM_ExtractStage(benchmark::State& state) {
+  // One stage of the band-path extraction of the BM_ExtractManyBatch/601
+  // tracks, so the stages' shares of that row can be read off: 0 = the
+  // forward transform (bins 0..20), 1 = the coarse synthesis (bins
+  // 1..20), 2 = the ACF peak search on the coarse signal, 3 = the main
+  // synthesis (the adaptive band around the ACF peak). Items are tracks.
+  constexpr std::size_t kTracks = 16;
+  constexpr std::size_t kSamples = 601;
+  constexpr double kRate = 20.0;
+  const core::ExtractorConfig config;
+  const double floor_hz =
+      std::max(config.low_cut_hz, config.peak_search_floor_hz);
+  const std::size_t top =
+      signal::band_top_bin(kSamples, kRate, config.cutoff_hz);
+  const auto plan = signal::BandPlan::get(kSamples, top);
+  signal::FftWorkspace ws;
+  std::vector<std::vector<double>> values(kTracks);
+  std::vector<std::vector<signal::cdouble>> bins(
+      kTracks, std::vector<signal::cdouble>(top + 1));
+  std::vector<std::vector<double>> coarse(kTracks);
+  std::vector<double> lo(kTracks), hi(kTracks);
+  for (std::size_t j = 0; j < kTracks; ++j) {
+    values[j] = breathing_signal(kSamples, 41 + j);
+    signal::detrend_linear(values[j]);
+    plan->forward(values[j], bins[j], ws.scratch);
+    signal::band_synthesize(*plan, bins[j], kRate, signal::kDcRejectHz,
+                            config.cutoff_hz, coarse[j], ws);
+    const double f0 = signal::autocorrelation_fundamental(
+        coarse[j], kRate, floor_hz, config.cutoff_hz, ws);
+    lo[j] = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
+    hi[j] = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);
+  }
+  std::vector<double> out;
+  const auto stage = state.range(0);
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < kTracks; ++j) {
+      switch (stage) {
+        case 0: plan->forward(values[j], bins[j], ws.scratch); break;
+        case 1:
+          signal::band_synthesize(*plan, bins[j], kRate, signal::kDcRejectHz,
+                                  config.cutoff_hz, out, ws);
+          break;
+        case 2:
+          benchmark::DoNotOptimize(signal::autocorrelation_fundamental(
+              coarse[j], kRate, floor_hz, config.cutoff_hz, ws));
+          break;
+        default:
+          signal::band_synthesize(*plan, bins[j], kRate, lo[j], hi[j], out,
+                                  ws);
+          break;
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTracks));
+}
+BENCHMARK(BM_ExtractStage)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+// The band/full crossover sweep behind signal::BandPlan::preferred. Both
+// rows run one extraction's transforms on an N-sample track whose
+// cutoff keeps bins 0..K: the forward transform, the coarse low-pass
+// (bins 1..K) and a main band filter over the middle third of them.
+// range(0) = N, range(1) = K; the track is 20 Hz noise.
+struct CrossoverCase {
+  std::vector<double> x;
+  double f_hi = 0.0;
+  double main_lo = 0.0;
+  double main_hi = 0.0;
+  static constexpr double kRate = 20.0;
+
+  explicit CrossoverCase(const benchmark::State& state)
+      : x(noise_signal(static_cast<std::size_t>(state.range(0)))) {
+    const double bin = kRate / static_cast<double>(x.size());
+    f_hi = (static_cast<double>(state.range(1)) + 0.5) * bin;
+    main_lo = f_hi / 3.0;
+    main_hi = 2.0 * f_hi / 3.0;
+  }
+};
+
+void BM_BandRoundTrip(benchmark::State& state) {
+  const CrossoverCase c(state);
+  const auto top = static_cast<std::size_t>(state.range(1));
+  const auto plan = signal::BandPlan::get(c.x.size(), top);
+  signal::FftWorkspace ws;
+  std::vector<signal::cdouble> bins(top + 1);
+  std::vector<double> coarse;
+  std::vector<double> filtered;
+  for (auto _ : state) {
+    plan->forward(c.x, bins, ws.scratch);
+    signal::band_synthesize(*plan, bins, c.kRate, signal::kDcRejectHz,
+                            c.f_hi, coarse, ws);
+    signal::band_synthesize(*plan, bins, c.kRate, c.main_lo, c.main_hi,
+                            filtered, ws);
+    benchmark::DoNotOptimize(filtered.data());
+  }
+}
+
+void BM_FullRoundTrip(benchmark::State& state) {
+  const CrossoverCase c(state);
+  signal::FftWorkspace ws;
+  std::vector<signal::cdouble> spectrum;
+  std::vector<signal::cdouble> copy;
+  std::vector<double> coarse;
+  std::vector<double> filtered;
+  for (auto _ : state) {
+    signal::fft_real_into(c.x, spectrum, ws.scratch);
+    copy.assign(spectrum.begin(), spectrum.end());
+    const signal::BandMaskJob jobs[2] = {
+        {&copy, c.kRate, signal::kDcRejectHz, c.f_hi, &coarse},
+        {&spectrum, c.kRate, c.main_lo, c.main_hi, &filtered}};
+    signal::bandlimit_inverse_many(jobs, ws);
+    benchmark::DoNotOptimize(filtered.data());
+  }
+}
+
+void crossover_args(benchmark::internal::Benchmark* b) {
+  for (const int n : {64, 128, 256, 512, 601, 1024, 1200, 2048, 2400, 4096})
+    for (const int k : {2, 5, 10, 20, 40, 50, 60, 70, 80, 160})
+      if (2 * k < n) b->Args({n, k});
+}
+BENCHMARK(BM_BandRoundTrip)->Apply(crossover_args)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FullRoundTrip)->Apply(crossover_args)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FuseStreams(benchmark::State& state) {
   // Three 120 s delta streams at ~60 Hz each.

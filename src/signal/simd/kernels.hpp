@@ -43,6 +43,30 @@ struct DspKernels {
   /// lanes outside that range take the exact scalar wrap.
   void (*phase_deltas)(const double* dphase, const double* scale,
                        double* out, std::size_t n);
+
+  /// Band-plan analysis (signal::BandPlan::forward). `table` holds `rows`
+  /// rows of 2*bins values, the bins' cosines then their sines. For
+  /// every bin k < bins, over the rows r in order:
+  ///   re[k] = re[k] + s[r] * table[r][k];
+  ///   im[k] = im[k] + d[r] * table[r][bins + k];
+  /// Each bin sums its rows in row order, whatever lanes a back end
+  /// spreads the bins across.
+  void (*band_analysis)(const double* s, const double* d, std::size_t rows,
+                        const double* table, std::size_t bins, double* re,
+                        double* im);
+
+  /// Band-plan synthesis (signal::BandPlan::synthesize). Row t = 1..rows
+  /// starts at table + (t-1)*2*bins; per row
+  ///   C = sum_j a[j] * row[j],  S = sum_j b[j] * row[bins + j],  j < count,
+  /// each summed in one fixed lane order: lane l (of 4) takes the terms
+  /// j = 4i + l of the whole blocks of four in order, starting from 0.0;
+  /// the lanes fold as (l0 + l1) + (l2 + l3); the count % 4 tail terms
+  /// then add in order. Then out[n - t] = (C + S) * scale and, after it
+  /// (the same slot when 2t == n), out[t] = (C - S) * scale.
+  void (*band_synthesis)(const double* a, const double* b, std::size_t count,
+                         const double* table, std::size_t bins,
+                         std::size_t rows, std::size_t n, double scale,
+                         double* out);
 };
 
 /// The live kernel table. First call resolves the dispatch (thread-safe,

@@ -126,6 +126,94 @@ void phase_deltas_avx2(const double* dphase, const double* scale, double* out,
   for (; k < n; ++k) out[k] = scale[k] * common::wrap_phase_pi(dphase[k]);
 }
 
+// Four bins per vector; each lane sums its bin's rows in row order, so
+// every bin sees the scalar reference's operation sequence. Eight bins
+// per pass keep four independent add chains in flight.
+void band_analysis_avx2(const double* s, const double* d, std::size_t rows,
+                        const double* table, std::size_t bins, double* re,
+                        double* im) {
+  const std::size_t stride = 2 * bins;
+  std::size_t k = 0;
+  for (; k + 8 <= bins; k += 8) {
+    __m256d re0 = _mm256_loadu_pd(re + k);
+    __m256d re1 = _mm256_loadu_pd(re + k + 4);
+    __m256d im0 = _mm256_loadu_pd(im + k);
+    __m256d im1 = _mm256_loadu_pd(im + k + 4);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* const c = table + r * stride + k;
+      const __m256d vs = _mm256_set1_pd(s[r]);
+      const __m256d vd = _mm256_set1_pd(d[r]);
+      re0 = _mm256_add_pd(re0, _mm256_mul_pd(vs, _mm256_loadu_pd(c)));
+      re1 = _mm256_add_pd(re1, _mm256_mul_pd(vs, _mm256_loadu_pd(c + 4)));
+      im0 = _mm256_add_pd(im0, _mm256_mul_pd(vd, _mm256_loadu_pd(c + bins)));
+      im1 = _mm256_add_pd(im1,
+                          _mm256_mul_pd(vd, _mm256_loadu_pd(c + bins + 4)));
+    }
+    _mm256_storeu_pd(re + k, re0);
+    _mm256_storeu_pd(re + k + 4, re1);
+    _mm256_storeu_pd(im + k, im0);
+    _mm256_storeu_pd(im + k + 4, im1);
+  }
+  for (; k + 4 <= bins; k += 4) {
+    __m256d re0 = _mm256_loadu_pd(re + k);
+    __m256d im0 = _mm256_loadu_pd(im + k);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* const c = table + r * stride + k;
+      re0 = _mm256_add_pd(
+          re0, _mm256_mul_pd(_mm256_set1_pd(s[r]), _mm256_loadu_pd(c)));
+      im0 = _mm256_add_pd(
+          im0, _mm256_mul_pd(_mm256_set1_pd(d[r]), _mm256_loadu_pd(c + bins)));
+    }
+    _mm256_storeu_pd(re + k, re0);
+    _mm256_storeu_pd(im + k, im0);
+  }
+  for (; k < bins; ++k) {
+    double rk = re[k];
+    double ik = im[k];
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* const c = table + r * stride + k;
+      rk = rk + s[r] * c[0];
+      ik = ik + d[r] * c[bins];
+    }
+    re[k] = rk;
+    im[k] = ik;
+  }
+}
+
+// (l0 + l1) + (l2 + l3), the band_synthesis lane fold.
+inline double fold_lanes(__m256d v) {
+  const __m128d lo = _mm256_castpd256_pd128(v);   // [l0 l1]
+  const __m128d hi = _mm256_extractf128_pd(v, 1);  // [l2 l3]
+  const __m128d pairs = _mm_hadd_pd(lo, hi);        // [l0+l1 l2+l3]
+  return _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)));
+}
+
+void band_synthesis_avx2(const double* a, const double* b, std::size_t count,
+                         const double* table, std::size_t bins,
+                         std::size_t rows, std::size_t n, double scale,
+                         double* out) {
+  const std::size_t whole = count - count % 4;
+  for (std::size_t t = 1; t <= rows; ++t) {
+    const double* const row = table + (t - 1) * 2 * bins;
+    __m256d vc = _mm256_setzero_pd();
+    __m256d vs = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < whole; j += 4) {
+      vc = _mm256_add_pd(
+          vc, _mm256_mul_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(row + j)));
+      vs = _mm256_add_pd(vs, _mm256_mul_pd(_mm256_loadu_pd(b + j),
+                                           _mm256_loadu_pd(row + bins + j)));
+    }
+    double c = fold_lanes(vc);
+    double s = fold_lanes(vs);
+    for (std::size_t j = whole; j < count; ++j) {
+      c = c + a[j] * row[j];
+      s = s + b[j] * row[bins + j];
+    }
+    out[n - t] = (c + s) * scale;
+    out[t] = (c - s) * scale;
+  }
+}
+
 }  // namespace
 
 const DspKernels& avx2_kernels() noexcept {
@@ -134,6 +222,8 @@ const DspKernels& avx2_kernels() noexcept {
       &complex_mul_avx2,
       &complex_scale_avx2,
       &phase_deltas_avx2,
+      &band_analysis_avx2,
+      &band_synthesis_avx2,
   };
   return k;
 }

@@ -108,11 +108,15 @@ void phase_deltas_neon(const double* dphase, const double* scale, double* out,
 }  // namespace
 
 const DspKernels& neon_kernels() noexcept {
-  static constexpr DspKernels k{
+  // The band-plan loops have no NEON form yet; they run the scalar
+  // reference, which is bit-identical by definition.
+  static const DspKernels k{
       &butterfly_stage_neon,
       &complex_mul_neon,
       &complex_scale_neon,
       &phase_deltas_neon,
+      scalar_kernels().band_analysis,
+      scalar_kernels().band_synthesis,
   };
   return k;
 }

@@ -41,6 +41,46 @@ void phase_deltas_scalar(const double* dphase, const double* scale,
     out[k] = scale[k] * common::wrap_phase_pi(dphase[k]);
 }
 
+void band_analysis_scalar(const double* s, const double* d, std::size_t rows,
+                          const double* table, std::size_t bins, double* re,
+                          double* im) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* const c = table + r * 2 * bins;
+    const double* const sn = c + bins;
+    for (std::size_t k = 0; k < bins; ++k) {
+      re[k] = re[k] + s[r] * c[k];
+      im[k] = im[k] + d[r] * sn[k];
+    }
+  }
+}
+
+// The band_synthesis lane order: four lanes over the whole blocks, folded
+// pairwise, then the tail in order.
+double lane_dot(const double* a, const double* x, std::size_t count) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t whole = count - count % 4;
+  for (std::size_t j = 0; j < whole; j += 4) {
+    for (std::size_t l = 0; l < 4; ++l)
+      lane[l] = lane[l] + a[j + l] * x[j + l];
+  }
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (std::size_t j = whole; j < count; ++j) sum = sum + a[j] * x[j];
+  return sum;
+}
+
+void band_synthesis_scalar(const double* a, const double* b,
+                           std::size_t count, const double* table,
+                           std::size_t bins, std::size_t rows, std::size_t n,
+                           double scale, double* out) {
+  for (std::size_t t = 1; t <= rows; ++t) {
+    const double* const row = table + (t - 1) * 2 * bins;
+    const double c = lane_dot(a, row, count);
+    const double s = lane_dot(b, row + bins, count);
+    out[n - t] = (c + s) * scale;
+    out[t] = (c - s) * scale;
+  }
+}
+
 }  // namespace
 
 const DspKernels& scalar_kernels() noexcept {
@@ -49,6 +89,8 @@ const DspKernels& scalar_kernels() noexcept {
       &complex_mul_scalar,
       &complex_scale_scalar,
       &phase_deltas_scalar,
+      &band_analysis_scalar,
+      &band_synthesis_scalar,
   };
   return k;
 }

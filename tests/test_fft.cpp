@@ -1,12 +1,17 @@
-// Unit + property tests: FFT (radix-2 and Bluestein paths).
+// Unit + property tests: FFT (radix-2 and Bluestein paths) and the
+// band plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "signal/fft.hpp"
+#include "signal/spectrum.hpp"
 
 namespace tagbreathe::signal {
 namespace {
@@ -271,6 +276,141 @@ TEST(RealFftOdd, SingleSampleIsItsOwnTransform) {
   const std::vector<double> back = ifft_real(spectrum);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0], 3.25);
+}
+
+// --- band plan -----------------------------------------------------------
+
+std::vector<double> random_real_signal(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.normal();
+  return x;
+}
+
+double l1_norm(std::span<const double> x) {
+  double sum = 0.0;
+  for (double v : x) sum += std::abs(v);
+  return sum;
+}
+
+TEST(BandPlan, BinsMatchRealFftPlan) {
+  FftScratch scratch;
+  for (const std::size_t n : {std::size_t{21}, std::size_t{600},
+                              std::size_t{601}}) {
+    const std::vector<double> x = random_real_signal(n, 0xBA + n);
+    std::vector<cdouble> full(n);
+    RealFftPlan::get(n)->execute(x, full, scratch);
+    const double tol = 1e-12 * l1_norm(x);
+    // The realtime cutoff's K, and the largest K a plan admits.
+    for (const std::size_t top : {band_top_bin(n, 20.0, 0.67), (n - 1) / 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(top));
+      std::vector<cdouble> bins(top + 1);
+      BandPlan::get(n, top)->forward(x, bins, scratch);
+      for (std::size_t k = 0; k <= top; ++k) {
+        EXPECT_LE(std::abs(bins[k].real() - full[k].real()), tol) << k;
+        EXPECT_LE(std::abs(bins[k].imag() - full[k].imag()), tol) << k;
+      }
+    }
+  }
+}
+
+TEST(BandPlan, SynthesisMatchesTheMaskedFullInverse) {
+  FftWorkspace ws;
+  for (const std::size_t n : {std::size_t{21}, std::size_t{600},
+                              std::size_t{601}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<double> x = random_real_signal(n, 0x5E + n);
+    const std::size_t top = band_top_bin(n, 20.0, 0.67);
+    const auto plan = BandPlan::get(n, top);
+    std::vector<cdouble> bins(top + 1);
+    plan->forward(x, bins, ws.scratch);
+    const double tol = 1e-12 * l1_norm(x) / static_cast<double>(n);
+    for (const auto& [lo, hi] : {std::pair{kDcRejectHz, 0.67},
+                                 std::pair{0.1, 0.4}, std::pair{0.0, 0.67}}) {
+      std::vector<double> band;
+      band_synthesize(*plan, bins, 20.0, lo, hi, band, ws);
+      std::vector<double> full;
+      const BandLimitJob job{x, 20.0, lo, hi, &full};
+      fft_bandlimit_many({&job, 1}, ws);
+      ASSERT_EQ(band.size(), full.size());
+      for (std::size_t t = 0; t < n; ++t)
+        EXPECT_NEAR(band[t], full[t], tol) << "t=" << t << " band " << lo
+                                           << ".." << hi;
+    }
+  }
+}
+
+TEST(BandPlan, KeepsExactlyTheBinsTheMaskKeeps) {
+  // Synthesize one bin pair at a time, X[k] = X[n-k] = 1, on both paths.
+  // A bin one path keeps and the other drops shows as an O(1/n) gap.
+  // The band edges sit exactly on bin frequencies; |f| of bin n-k
+  // differs from that of bin k in the last bit for most k, so an edge on
+  // the smaller of the two keeps one of the pair only.
+  constexpr double kRate = 20.0;
+  FftWorkspace ws;
+  for (const std::size_t n : {std::size_t{600}, std::size_t{601}}) {
+    const std::size_t top = band_top_bin(n, kRate, 0.67);
+    const auto plan = BandPlan::get(n, top);
+    const auto edge = [&](std::size_t k) {
+      return std::min(bin_frequency(k, n, kRate),
+                      std::abs(bin_frequency(n - k, n, kRate)));
+    };
+    bool split_pair = false;
+    for (std::size_t k = 1; k <= top; ++k)
+      split_pair |= bin_frequency(k, n, kRate) !=
+                    std::abs(bin_frequency(n - k, n, kRate));
+    EXPECT_TRUE(split_pair) << "no edge case at n=" << n;
+    for (const auto& [lo, hi] : {std::pair{edge(3), edge(9)},
+                                 std::pair{bin_frequency(3, n, kRate),
+                                           bin_frequency(9, n, kRate)},
+                                 std::pair{kDcRejectHz, edge(top)},
+                                 std::pair{0.0, 0.67}}) {
+      for (std::size_t k = 0; k <= top; ++k) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     " band " + std::to_string(lo) + ".." +
+                     std::to_string(hi));
+        std::vector<cdouble> spectrum(n, cdouble(0.0, 0.0));
+        spectrum[k] = 1.0;
+        spectrum[(n - k) % n] = 1.0;
+        std::vector<double> full;
+        const BandMaskJob mask{&spectrum, kRate, lo, hi, &full};
+        bandlimit_inverse_many({&mask, 1}, ws);
+        std::vector<cdouble> bins(top + 1, cdouble(0.0, 0.0));
+        bins[k] = 1.0;
+        std::vector<double> band;
+        band_synthesize(*plan, bins, kRate, lo, hi, band, ws);
+        for (std::size_t t = 0; t < n; ++t)
+          ASSERT_NEAR(band[t], full[t], 1e-14) << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(BandPlan, CrossoverFollowsNAndKAlone) {
+  // The realtime track (601 samples at 20 Hz, cutoff 0.67 Hz) keeps bins
+  // 0..20 and takes the band path; so do the prefill's short tracks.
+  EXPECT_EQ(band_top_bin(601, 20.0, 0.67), 20u);
+  EXPECT_TRUE(BandPlan::preferred(601, 20));
+  EXPECT_TRUE(BandPlan::preferred(21, band_top_bin(21, 20.0, 0.67)));
+  // The same track at 2 Hz keeps bins 0..201: above the crossover.
+  EXPECT_EQ(band_top_bin(601, 2.0, 0.67), 201u);
+  EXPECT_FALSE(BandPlan::preferred(601, 201));
+  // The crossover bound itself, and the plan's own domain.
+  EXPECT_TRUE(BandPlan::preferred(1024, 39));   // 40 <= 4 * 10
+  EXPECT_FALSE(BandPlan::preferred(1024, 40));  // 41 > 4 * 10
+  EXPECT_FALSE(BandPlan::preferred(1, 0));
+  EXPECT_FALSE(BandPlan::preferred(8, 4));  // 2K == N: Nyquist is not a band bin
+  EXPECT_THROW(BandPlan::get(8, 4), std::invalid_argument);
+}
+
+TEST(BandPlan, TableIsOneSymmetricHalf) {
+  for (const std::size_t n : {std::size_t{21}, std::size_t{600},
+                              std::size_t{601}}) {
+    const std::size_t top = band_top_bin(n, 20.0, 0.67);
+    const auto plan = BandPlan::get(n, top);
+    EXPECT_LE(plan->table_bytes(), 16 * (top + 1) * ((n + 1) / 2)) << n;
+  }
+  EXPECT_EQ(BandPlan::get(601, 20)->table_bytes(), 100800u);  // ~98 KB
 }
 
 TEST(Fft, EmptyInput) {

@@ -23,6 +23,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -369,6 +370,72 @@ TEST(FftEquivalence, RealTransformsBitIdenticalAcrossLevels) {
   }
 }
 
+// Band-plan kernels: every bin count around the AVX2 chunking (8, 4 and
+// the scalar tail) and every synthesis count around the 4-lane blocks.
+TEST(VectorKernels, BandKernelsBitIdenticalToScalar) {
+  const DspKernels* vec = vector_table();
+  if (vec == nullptr) GTEST_SKIP() << "no vector unit on this build/machine";
+  const DspKernels& ref = signal::simd::scalar_kernels();
+  constexpr std::size_t kRows = 37;
+  for (std::size_t bins = 1; bins <= 25; ++bins) {
+    const std::vector<double> table = random_real(kRows * 2 * bins, 0x7A + bins);
+    const std::vector<double> s = random_real(kRows, 0x51 + bins);
+    const std::vector<double> d = random_real(kRows, 0xD1 + bins);
+    std::vector<double> want_re = random_real(bins, 0xE0 + bins);
+    std::vector<double> want_im = random_real(bins, 0xE1 + bins);
+    std::vector<double> got_re = want_re;
+    std::vector<double> got_im = want_im;
+    ref.band_analysis(s.data(), d.data(), kRows, table.data(), bins,
+                      want_re.data(), want_im.data());
+    vec->band_analysis(s.data(), d.data(), kRows, table.data(), bins,
+                       got_re.data(), got_im.data());
+    EXPECT_TRUE(spans_bit_equal(got_re, want_re)) << "bins=" << bins;
+    EXPECT_TRUE(spans_bit_equal(got_im, want_im)) << "bins=" << bins;
+
+    for (std::size_t first = 0; first < bins; ++first) {
+      const std::size_t count = bins - first;
+      const std::vector<double> a = random_real(count, 0xA1 + count);
+      const std::vector<double> b = random_real(count, 0xB1 + count);
+      for (const std::size_t n : {2 * kRows, 2 * kRows + 1}) {
+        std::vector<double> want(n, 0.0), got(n, 0.0);
+        ref.band_synthesis(a.data(), b.data(), count, table.data() + first,
+                           bins, kRows, n, 1.0 / static_cast<double>(n),
+                           want.data());
+        vec->band_synthesis(a.data(), b.data(), count, table.data() + first,
+                            bins, kRows, n, 1.0 / static_cast<double>(n),
+                            got.data());
+        EXPECT_TRUE(spans_bit_equal(got, want))
+            << "bins=" << bins << " first=" << first << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FftEquivalence, BandPlanBitIdenticalAcrossLevels) {
+  if (vector_table() == nullptr)
+    GTEST_SKIP() << "no vector unit on this build/machine";
+  DispatchRestore restore;
+  signal::FftWorkspace ws;
+  for (const std::size_t n : {std::size_t{21}, std::size_t{64},
+                              std::size_t{600}, std::size_t{601}}) {
+    const std::vector<double> input = random_real(n, 0xBA4D + n);
+    const std::size_t top = signal::band_top_bin(n, 20.0, 0.67);
+    const auto plan = signal::BandPlan::get(n, top);
+    std::vector<cdouble> scalar_bins(top + 1), vector_bins(top + 1);
+    std::vector<double> scalar_time, vector_time;
+    signal::simd::override_level_for_testing(SimdLevel::Scalar);
+    plan->forward(input, scalar_bins, ws.scratch);
+    signal::band_synthesize(*plan, scalar_bins, 20.0, signal::kDcRejectHz,
+                            0.67, scalar_time, ws);
+    signal::simd::override_level_for_testing(signal::simd::detected_level());
+    plan->forward(input, vector_bins, ws.scratch);
+    signal::band_synthesize(*plan, scalar_bins, 20.0, signal::kDcRejectHz,
+                            0.67, vector_time, ws);
+    EXPECT_TRUE(spans_bit_equal(vector_bins, scalar_bins)) << "n=" << n;
+    EXPECT_TRUE(spans_bit_equal(vector_time, scalar_time)) << "n=" << n;
+  }
+}
+
 // --- batch vs single identity ----------------------------------------------
 
 TEST(BatchedTransforms, FftManyMatchesPerJobExecutes) {
@@ -511,37 +578,58 @@ TEST(BatchedExtraction, ExtractManyMatchesSingleExtractBitwise) {
 
 TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
   // extract_many transforms each track once and filters the bins twice.
-  // Spelled out with two full fft_bandlimit_many sweeps (coarse
-  // low-pass -> ACF -> main band filter) the output must not move a bit.
+  // Spelled out with one forward transform per filter (coarse low-pass
+  // -> ACF -> main band filter) the output must not move a bit, on both
+  // paths: 600/601 samples at 20 Hz keep bins 0..20 and take the band
+  // path; 601 samples at 2 Hz keep bins 0..201, above the crossover, and
+  // take the full path, whose filter is fft_bandlimit_many.
   const core::ExtractorConfig config;
   const core::BreathExtractor extractor(config);
-  constexpr double kRate = 20.0;
   std::vector<std::vector<signal::TimedSample>> tracks;
-  for (std::size_t j = 0; j < 6; ++j)
-    tracks.push_back(breathing_track(600 + j % 2, kRate,
-                                     0.12 + 0.05 * static_cast<double>(j),
+  std::vector<double> rates;
+  for (std::size_t j = 0; j < 8; ++j) {
+    const double rate = j < 6 ? 20.0 : 2.0;
+    tracks.push_back(breathing_track(600 + j % 2, rate,
+                                     0.12 + 0.05 * static_cast<double>(j % 6),
                                      0xC0FFEE + j));
+    rates.push_back(rate);
+  }
   std::vector<core::BreathSignal> batch(tracks.size());
   std::vector<core::ExtractJob> jobs;
   for (std::size_t j = 0; j < tracks.size(); ++j)
-    jobs.push_back(core::ExtractJob{tracks[j], kRate, &batch[j]});
+    jobs.push_back(core::ExtractJob{tracks[j], rates[j], &batch[j]});
   signal::FftWorkspace ws;
   core::ExtractScratch scratch;
   extractor.extract_many(jobs, ws, scratch);
 
   signal::FftWorkspace ref_ws;
+  std::size_t band_tracks = 0;
+  const auto filter = [&](const std::vector<double>& values, double rate,
+                          double f_lo, double f_hi, std::vector<double>& out) {
+    const std::size_t top =
+        signal::band_top_bin(values.size(), rate, config.cutoff_hz);
+    if (!signal::BandPlan::preferred(values.size(), top)) {
+      const signal::BandLimitJob job{values, rate, f_lo, f_hi, &out};
+      signal::fft_bandlimit_many({&job, 1}, ref_ws);
+      return;
+    }
+    ++band_tracks;
+    const auto plan = signal::BandPlan::get(values.size(), top);
+    std::vector<cdouble> bins(top + 1);
+    plan->forward(values, bins, ref_ws.scratch);
+    signal::band_synthesize(*plan, bins, rate, f_lo, f_hi, out, ref_ws);
+  };
   const double floor_hz =
       std::max(config.low_cut_hz, config.peak_search_floor_hz);
   for (std::size_t j = 0; j < tracks.size(); ++j) {
+    const double rate = rates[j];
     std::vector<double> values;
     for (const signal::TimedSample& s : tracks[j]) values.push_back(s.value);
     signal::detrend_linear(values);
     std::vector<double> coarse;
-    const signal::BandLimitJob coarse_job{values, kRate, signal::kDcRejectHz,
-                                          config.cutoff_hz, &coarse};
-    signal::fft_bandlimit_many({&coarse_job, 1}, ref_ws);
+    filter(values, rate, signal::kDcRejectHz, config.cutoff_hz, coarse);
     const double f0 = signal::autocorrelation_fundamental(
-        coarse, kRate, floor_hz, config.cutoff_hz);
+        coarse, rate, floor_hz, config.cutoff_hz);
     ASSERT_GT(f0, 0.0) << "job " << j;
     double lo = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
     double hi = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);
@@ -554,14 +642,14 @@ TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
     EXPECT_TRUE(bits_equal(scratch.band_lo[j], lo)) << "job " << j;
     EXPECT_TRUE(bits_equal(scratch.band_hi[j], hi)) << "job " << j;
     std::vector<double> filtered;
-    const signal::BandLimitJob main_job{values, kRate, lo, hi, &filtered};
-    signal::fft_bandlimit_many({&main_job, 1}, ref_ws);
+    filter(values, rate, lo, hi, filtered);
 
     ASSERT_EQ(batch[j].samples.size(), filtered.size()) << "job " << j;
     for (std::size_t i = 0; i < filtered.size(); ++i)
       ASSERT_TRUE(bits_equal(batch[j].samples[i].value, filtered[i]))
           << "job " << j << " sample " << i;
   }
+  EXPECT_EQ(band_tracks, 2u * 6u);  // two filters per 20 Hz track
 }
 
 // --- zero-allocation gate on the batched steady state -----------------------
@@ -588,20 +676,22 @@ TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
 TEST(BatchedZeroAlloc, WarmExtractManySweepAllocatesNothing) {
   // Default config: the adaptive band's coarse low-pass and ACF peak
   // search run through the same warm workspace as the filter sweep.
-  // 600 samples run the packed even transform, 601 (the realtime grid)
-  // the pruned odd one.
+  // 600 and 601 samples (the realtime grid) take the band path; 601
+  // samples at 2 Hz take the full path's pruned odd transform.
   const core::BreathExtractor extractor;
-  constexpr double kRate = 20.0;
   constexpr std::size_t kJobs = 12;
-  for (const std::size_t samples : {std::size_t{600}, std::size_t{601}}) {
-    SCOPED_TRACE("samples=" + std::to_string(samples));
+  for (const auto& [samples, rate] :
+       {std::pair{std::size_t{600}, 20.0}, std::pair{std::size_t{601}, 20.0},
+        std::pair{std::size_t{601}, 2.0}}) {
+    SCOPED_TRACE("samples=" + std::to_string(samples) +
+                 " rate=" + std::to_string(rate));
     std::vector<std::vector<signal::TimedSample>> tracks;
     for (std::size_t j = 0; j < kJobs; ++j)
-      tracks.push_back(breathing_track(samples, kRate, 0.2, 0x99 + j));
+      tracks.push_back(breathing_track(samples, rate, 0.2, 0x99 + j));
     std::vector<core::BreathSignal> outs(kJobs);
     std::vector<core::ExtractJob> jobs;
     for (std::size_t j = 0; j < kJobs; ++j)
-      jobs.push_back(core::ExtractJob{tracks[j], kRate, &outs[j]});
+      jobs.push_back(core::ExtractJob{tracks[j], rate, &outs[j]});
     signal::FftWorkspace ws;
     core::ExtractScratch scratch;
 
