@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the DSP kernels on the TagBreathe
-// hot path: FFT, the FFT low-pass, FIR design/filtering, preprocessing,
-// fusion, the ACF fundamental search, the batched extraction sweep with
-// its band-path stages, and the band/full crossover sweep.
+// hot path: FFT, FIR design/filtering, preprocessing, fusion, the ACF
+// fundamental search, the batched extraction sweep with its band-path
+// stages, and the band/full crossover sweep.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -122,28 +122,6 @@ void BM_FftRealPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_FftRealPacked)->Arg(600)->Arg(2400)->Arg(9600);
 
-void BM_FftLowpass(benchmark::State& state) {
-  const auto x = noise_signal(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto y = signal::fft_lowpass(x, 20.0, 0.67);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_FftLowpass)->Arg(600)->Arg(2400)->Arg(9600);
-
-void BM_FftLowpassPlanned(benchmark::State& state) {
-  // Same filter through the workspace variant the realtime engine uses:
-  // allocation-free once the workspace is warm.
-  const auto x = noise_signal(static_cast<std::size_t>(state.range(0)));
-  signal::FftWorkspace ws;
-  std::vector<double> y;
-  for (auto _ : state) {
-    signal::fft_lowpass_into(x, 20.0, 0.67, /*remove_dc=*/true, ws, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_FftLowpassPlanned)->Arg(600)->Arg(2400)->Arg(9600);
-
 void BM_FirFiltFilt(benchmark::State& state) {
   const auto x = noise_signal(static_cast<std::size_t>(state.range(0)));
   const auto taps = signal::design_lowpass(0.67, 20.0, 101);
@@ -176,15 +154,6 @@ void BM_AcfFundamental(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AcfFundamental)->Arg(600)->Arg(2400);
-
-void BM_Goertzel(benchmark::State& state) {
-  const auto x = noise_signal(2400);
-  for (auto _ : state) {
-    const double p = signal::goertzel_power(x, 20.0, 0.1667);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_Goertzel);
 
 // --- SIMD dispatch: scalar baseline vs the active vector level --------------
 //
@@ -260,43 +229,6 @@ void BM_FftPlannedLevel(benchmark::State& state) {
 BENCHMARK(BM_FftPlannedLevel)
     ->ArgNames({"vector", "n"})
     ->ArgsProduct({{0, 1}, {600, 1024}});
-
-// --- batched sweeps: fft_bandlimit_many vs per-job calls --------------------
-
-void BM_BandlimitSweep(benchmark::State& state) {
-  // The extraction stage's filter shape: `jobs` 600-sample tracks
-  // band-limited to the breathing band. range(1)=1 stages every job and
-  // runs one fft_bandlimit_many sweep (shared plan lookup, one warm
-  // workspace); range(1)=0 issues the same filters one call at a time.
-  // Identical outputs either way — the sweep only amortises plan-cache
-  // hits and keeps the twiddles/chirps hot across jobs.
-  LevelGuard guard(state);
-  const bool batched = state.range(1) != 0;
-  const auto jobs_n = static_cast<std::size_t>(state.range(2));
-  std::vector<std::vector<double>> tracks(jobs_n);
-  for (std::size_t j = 0; j < jobs_n; ++j)
-    tracks[j] = noise_signal(600, 31 + j);
-  signal::FftWorkspace ws;
-  std::vector<std::vector<double>> out(jobs_n);
-  std::vector<signal::BandLimitJob> jobs(jobs_n);
-  for (auto _ : state) {
-    if (batched) {
-      for (std::size_t j = 0; j < jobs_n; ++j)
-        jobs[j] = signal::BandLimitJob{tracks[j], 20.0, 0.075, 0.67, &out[j]};
-      signal::fft_bandlimit_many(jobs, ws);
-    } else {
-      for (std::size_t j = 0; j < jobs_n; ++j)
-        signal::fft_bandpass_into(tracks[j], 20.0, 0.075, 0.67, ws, out[j]);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(jobs_n));
-}
-BENCHMARK(BM_BandlimitSweep)
-    ->ArgNames({"vector", "batched", "jobs"})
-    ->ArgsProduct({{0, 1}, {0, 1}, {16, 64}})
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_ExtractManyBatch(benchmark::State& state) {
   // The realtime extraction stage as one shard chunk runs it: 16 tracks

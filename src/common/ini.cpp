@@ -1,9 +1,6 @@
 #include "common/ini.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <fstream>
-#include <sstream>
+#include <istream>
 #include <stdexcept>
 
 namespace tagbreathe::common {
@@ -15,13 +12,6 @@ std::string trim(const std::string& s) {
   if (first == std::string::npos) return {};
   const auto last = s.find_last_not_of(" \t\r");
   return s.substr(first, last - first + 1);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
 }
 
 }  // namespace
@@ -57,16 +47,6 @@ long IniSection::get_int(const std::string& key, long fallback) const {
     throw std::runtime_error("ini: key '" + key +
                              "' is not an integer: " + *v);
   }
-}
-
-bool IniSection::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  const std::string low = lower(*v);
-  if (low == "true" || low == "yes" || low == "on" || low == "1") return true;
-  if (low == "false" || low == "no" || low == "off" || low == "0")
-    return false;
-  throw std::runtime_error("ini: key '" + key + "' is not a boolean: " + *v);
 }
 
 std::string IniSection::get_string(const std::string& key,
@@ -115,12 +95,6 @@ IniFile IniFile::parse(std::istream& in) {
     current->values[key] = value;
   }
   return file;
-}
-
-IniFile IniFile::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("ini: cannot open " + path);
-  return parse(in);
 }
 
 const IniSection* IniFile::find(const std::string& name) const {

@@ -25,17 +25,15 @@ struct IniSection {
   /// std::runtime_error when present but unparseable.
   double get_double(const std::string& key, double fallback) const;
   long get_int(const std::string& key, long fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
 };
 
 class IniFile {
  public:
-  /// Parses from a stream or file. Throws std::runtime_error with a line
-  /// number on syntax errors.
+  /// Parses from a stream. Throws std::runtime_error with a line number
+  /// on syntax errors.
   static IniFile parse(std::istream& in);
-  static IniFile load(const std::string& path);
 
   /// All sections in file order (section names can repeat).
   const std::vector<IniSection>& sections() const noexcept {

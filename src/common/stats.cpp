@@ -89,45 +89,6 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double rmse(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("rmse: size mismatch");
-  if (a.empty()) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s / static_cast<double>(a.size()));
-}
-
-double mae(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("mae: size mismatch");
-  if (a.empty()) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += std::abs(a[i] - b[i]);
-  return s / static_cast<double>(a.size());
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("pearson: size mismatch");
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double xa = a[i] - ma;
-    const double xb = b[i] - mb;
-    num += xa * xb;
-    da += xa * xa;
-    db += xb * xb;
-  }
-  if (da <= 0.0 || db <= 0.0) return 0.0;
-  return num / std::sqrt(da * db);
-}
-
 LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size())
     throw std::invalid_argument("linear_fit: size mismatch");

@@ -46,15 +46,6 @@ double median(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::span<const double> xs, double p);
 
-/// Root-mean-square error between two equally sized series.
-double rmse(std::span<const double> a, std::span<const double> b);
-
-/// Mean absolute error between two equally sized series.
-double mae(std::span<const double> a, std::span<const double> b);
-
-/// Pearson correlation coefficient; 0 if either series is constant.
-double pearson(std::span<const double> a, std::span<const double> b);
-
 /// Least-squares fit y = slope * x + intercept.
 struct LinearFit {
   double slope = 0.0;

@@ -66,11 +66,4 @@ std::vector<AntennaQuality> score_antennas(
   return out;
 }
 
-std::uint8_t select_antenna(
-    std::span<const std::vector<TagRead>* const> streams, double window_s,
-    const AntennaSelectorConfig& config) {
-  const auto scored = score_antennas(streams, window_s, config);
-  return scored.empty() ? 0 : scored.front().antenna_id;
-}
-
 }  // namespace tagbreathe::core

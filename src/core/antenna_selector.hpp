@@ -41,9 +41,4 @@ std::vector<AntennaQuality> score_antennas(
     std::span<const std::vector<TagRead>* const> streams, double window_s,
     const AntennaSelectorConfig& config = {});
 
-/// Best-scoring antenna, or 0 when there are no reads.
-std::uint8_t select_antenna(
-    std::span<const std::vector<TagRead>* const> streams, double window_s,
-    const AntennaSelectorConfig& config = {});
-
 }  // namespace tagbreathe::core

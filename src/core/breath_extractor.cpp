@@ -26,13 +26,6 @@ std::vector<double> BreathSignal::values() const {
   return out;
 }
 
-std::vector<double> BreathSignal::times() const {
-  std::vector<double> out;
-  out.reserve(samples.size());
-  for (const auto& s : samples) out.push_back(s.time_s);
-  return out;
-}
-
 BreathExtractor::BreathExtractor(ExtractorConfig config) : config_(config) {
   if (config_.cutoff_hz <= 0.0)
     throw std::invalid_argument("BreathExtractor: cutoff must be positive");
@@ -167,7 +160,7 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
     case FilterKind::FftLowpass: {
       // The stage-2 bins, masked and inverted: band tracks one at a time,
       // the rest in one batched sweep. A zero low cut becomes the DC
-      // reject exactly as fft_lowpass_into(remove_dc=true) would.
+      // reject (kDcRejectHz), so the paper's filter drops the DC bin.
       scratch.mask_jobs.clear();
       for (std::size_t j = 0; j < count; ++j) {
         if (scratch.active[j] == 0) continue;

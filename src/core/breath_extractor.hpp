@@ -63,7 +63,6 @@ struct BreathSignal {
   double input_scale = 0.0;
 
   std::vector<double> values() const;
-  std::vector<double> times() const;
 };
 
 /// One track of a batched extraction sweep.

@@ -114,21 +114,6 @@ std::vector<const std::vector<TagRead>*> StreamDemux::streams_for_user_antenna(
   return out;
 }
 
-std::vector<std::uint8_t> StreamDemux::antennas_for_user(
-    std::uint64_t user_id) const {
-  std::vector<std::uint8_t> out;
-  const UserEntry* entry = users_.find(user_id);
-  if (entry == nullptr) return out;
-  for (const common::SlabHandle handle : entry->streams) {
-    const StreamSlot* s = slot(handle);
-    if (s->reads.empty()) continue;
-    if (std::find(out.begin(), out.end(), s->key.antenna_id) == out.end())
-      out.push_back(s->key.antenna_id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 const std::vector<std::uint64_t>& StreamDemux::users() const {
   if (user_order_dirty_) {
     user_order_.clear();

@@ -102,9 +102,6 @@ class StreamDemux {
   std::vector<const std::vector<TagRead>*> streams_for_user_antenna(
       std::uint64_t user_id, std::uint8_t antenna_id) const;
 
-  /// Antenna ports that reported any read for this user.
-  std::vector<std::uint8_t> antennas_for_user(std::uint64_t user_id) const;
-
   /// User IDs with at least one stored read, ascending. The roster is
   /// cached and rebuilt only when the user set changed since the last
   /// call; the reference stays valid until the next add/drop/clear.

@@ -52,17 +52,6 @@ double rate_error_bpm(double estimated_bpm, double true_bpm) noexcept {
   return std::abs(estimated_bpm - true_bpm);
 }
 
-double mean_accuracy(std::span<const double> estimated_bpm,
-                     std::span<const double> true_bpm) {
-  if (estimated_bpm.size() != true_bpm.size())
-    throw std::invalid_argument("mean_accuracy: size mismatch");
-  if (estimated_bpm.empty()) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < estimated_bpm.size(); ++i)
-    s += breathing_rate_accuracy(estimated_bpm[i], true_bpm[i]);
-  return s / static_cast<double>(estimated_bpm.size());
-}
-
 double mean_accuracy_masked(std::span<const double> estimated_bpm,
                             std::span<const double> true_bpm,
                             std::span<const std::uint8_t> include) {

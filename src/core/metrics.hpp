@@ -69,10 +69,6 @@ double breathing_rate_accuracy(double estimated_bpm, double true_bpm) noexcept;
 /// Absolute error in breaths per minute. |est − true|; NaN propagates.
 double rate_error_bpm(double estimated_bpm, double true_bpm) noexcept;
 
-/// Mean Eq. 8 accuracy over paired estimates/truths.
-double mean_accuracy(std::span<const double> estimated_bpm,
-                     std::span<const double> true_bpm);
-
 /// Mean Eq. 8 accuracy over the pairs whose mask entry is non-zero.
 /// Degradation analyses compare a faulty run to a fault-free run on the
 /// non-gap windows only (mask = SignalHealth::Ok), since gap windows

@@ -7,10 +7,6 @@ void TagRegistry::register_tag(const rfid::Epc96& epc, std::uint64_t user_id,
   table_[epc] = TagIdentity{user_id, tag_id};
 }
 
-bool TagRegistry::unregister_tag(const rfid::Epc96& epc) {
-  return table_.erase(epc) > 0;
-}
-
 std::optional<TagIdentity> TagRegistry::lookup(const rfid::Epc96& epc) const {
   const auto it = table_.find(epc);
   if (it == table_.end()) return std::nullopt;

@@ -30,9 +30,6 @@ class TagRegistry {
   void register_tag(const rfid::Epc96& epc, std::uint64_t user_id,
                     std::uint32_t tag_id);
 
-  /// Removes a registration; returns true if it existed.
-  bool unregister_tag(const rfid::Epc96& epc);
-
   /// Identity for an EPC, or nullopt for unknown (item) tags.
   std::optional<TagIdentity> lookup(const rfid::Epc96& epc) const;
 

@@ -77,14 +77,6 @@ std::size_t HopSchedule::channel_at(double t) const {
   return epoch_permutation(epoch)[within];
 }
 
-double HopSchedule::frequency_at(double t) const {
-  return plan_.frequency_hz(channel_at(t));
-}
-
-double HopSchedule::wavelength_at(double t) const {
-  return plan_.wavelength_m(channel_at(t));
-}
-
 double HopSchedule::next_hop_time(double t) const noexcept {
   const double dwell = plan_.dwell_s();
   const double slot = std::floor(t / dwell);

@@ -49,9 +49,6 @@ class HopSchedule {
   /// Channel index active at time t (t >= 0).
   std::size_t channel_at(double t) const;
 
-  double frequency_at(double t) const;
-  double wavelength_at(double t) const;
-
   /// Time of the next hop boundary strictly after t.
   double next_hop_time(double t) const noexcept;
 

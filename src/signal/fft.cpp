@@ -554,17 +554,6 @@ std::vector<cdouble> ifft(std::span<const cdouble> input) {
   return transform(input, FftDirection::Inverse);
 }
 
-void fft_many(FftDirection dir, std::span<const FftJob> jobs,
-              FftScratch& scratch) {
-  std::shared_ptr<const FftPlan> plan;
-  for (const FftJob& job : jobs) {
-    const std::size_t n = job.in.size();
-    if (n == 0) continue;
-    if (plan == nullptr || plan->size() != n) plan = FftPlan::get(n, dir);
-    plan->execute(job.in, job.out, scratch);
-  }
-}
-
 void fft_real_many(std::span<const RealFftJob> jobs, FftScratch& scratch) {
   // Plans are re-fetched only when the size changes between consecutive
   // jobs; the engine's batches are all one size, so the plan-cache mutex
@@ -602,25 +591,6 @@ std::vector<cdouble> fft_real(std::span<const double> input) {
   std::vector<cdouble> out;
   FftScratch scratch;
   fft_real_into(input, out, scratch);
-  return out;
-}
-
-void ifft_real_into(std::span<const cdouble> spectrum,
-                    std::vector<double>& out, FftScratch& scratch) {
-  const RealIfftJob job{spectrum, &out};
-  ifft_real_many({&job, 1}, scratch);
-}
-
-std::vector<double> ifft_real(std::span<const cdouble> spectrum) {
-  std::vector<double> out;
-  FftScratch scratch;
-  ifft_real_into(spectrum, out, scratch);
-  return out;
-}
-
-std::vector<double> magnitude(std::span<const cdouble> spectrum) {
-  std::vector<double> out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = std::abs(spectrum[i]);
   return out;
 }
 

@@ -7,7 +7,7 @@
 // windows are arbitrary lengths: 25 s at irregular read rates).
 //
 // Two API layers:
-//  - One-shot helpers (fft/ifft/fft_real/ifft_real): allocate their
+//  - One-shot helpers (fft/ifft/fft_real): allocate their
 //    result, convenient for tests and offline analysis.
 //  - Plan-based (FftPlan / RealFftPlan + FftScratch): the realtime
 //    engine re-runs the same-size transform every update tick for every
@@ -257,18 +257,6 @@ std::vector<cdouble> fft_real(std::span<const double> input);
 void fft_real_into(std::span<const double> input, std::vector<cdouble>& out,
                    FftScratch& scratch);
 
-/// Inverse DFT of the conjugate-symmetric spectrum of a real signal,
-/// via RealFftPlan::execute_inverse. Even lengths run the half-size c2r
-/// transform, which reads only bins 0..N/2. Odd lengths fold the
-/// spectrum onto (N+1)/2 bins and run the pruned Bluestein; the result
-/// is the real part of the full complex inverse for any spectrum.
-std::vector<double> ifft_real(std::span<const cdouble> spectrum);
-
-/// Plan-based ifft_real into a caller buffer (resized to
-/// spectrum.size()); allocation-free once `scratch` and `out` are warm.
-void ifft_real_into(std::span<const cdouble> spectrum,
-                    std::vector<double>& out, FftScratch& scratch);
-
 // ---------------------------------------------------------------------------
 // Batched transform sweeps
 //
@@ -278,15 +266,8 @@ void ifft_real_into(std::span<const cdouble> spectrum,
 // cached plan in a single sweep: the plan-cache mutex is taken once per
 // size change instead of once per user, and the plan's twiddle/chirp
 // tables stay hot in cache across the batch. Results are bit-identical
-// to issuing the single-job calls one at a time — the single-job
-// helpers above delegate here with a one-element batch, so there is
-// exactly one code path.
-
-/// One complex transform: out.size() == in.size(); out may alias in.
-struct FftJob {
-  std::span<const cdouble> in;
-  std::span<cdouble> out;
-};
+// to issuing the jobs one at a time — fft_real_into delegates here with
+// a one-element batch, so there is exactly one code path.
 
 /// One real forward transform: `out` is resized to in.size().
 struct RealFftJob {
@@ -303,19 +284,15 @@ struct RealIfftJob {
   std::vector<double>* out = nullptr;
 };
 
-/// Transforms every job with direction `dir`. Empty jobs pass through
-/// untouched; mixed sizes are legal (the plan is re-fetched on change).
-void fft_many(FftDirection dir, std::span<const FftJob> jobs,
-              FftScratch& scratch);
-
 /// Batched fft_real_into: forward-transforms every job's real signal.
 void fft_real_many(std::span<const RealFftJob> jobs, FftScratch& scratch);
 
-/// Batched ifft_real_into: inverse-transforms every job's spectrum.
+/// Batched inverse of the conjugate-symmetric spectra of real signals,
+/// via RealFftPlan::execute_inverse. Even lengths run the half-size c2r
+/// transform, which reads only bins 0..N/2. Odd lengths fold the
+/// spectrum onto (N+1)/2 bins and run the pruned Bluestein; the result
+/// is the real part of the full complex inverse for any spectrum.
 void ifft_real_many(std::span<const RealIfftJob> jobs, FftScratch& scratch);
-
-/// Magnitude of each bin.
-std::vector<double> magnitude(std::span<const cdouble> spectrum);
 
 /// Frequency of bin k for an N-point transform at sample rate fs,
 /// mapping bins above N/2 to their negative frequencies.

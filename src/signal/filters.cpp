@@ -1,62 +1,8 @@
 #include "signal/filters.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "common/stats.hpp"
+#include <cstddef>
 
 namespace tagbreathe::signal {
-
-namespace {
-
-void check_window(std::size_t window) {
-  if (window == 0 || window % 2 == 0)
-    throw std::invalid_argument("window length must be odd and positive");
-}
-
-}  // namespace
-
-std::vector<double> moving_average(std::span<const double> x,
-                                   std::size_t window) {
-  check_window(window);
-  const auto n = static_cast<std::ptrdiff_t>(x.size());
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(window) / 2;
-  std::vector<double> y(x.size());
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + half);
-    double acc = 0.0;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j)
-      acc += x[static_cast<std::size_t>(j)];
-    y[static_cast<std::size_t>(i)] =
-        acc / static_cast<double>(hi - lo + 1);
-  }
-  return y;
-}
-
-std::vector<double> moving_median(std::span<const double> x,
-                                  std::size_t window) {
-  check_window(window);
-  const auto n = static_cast<std::ptrdiff_t>(x.size());
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(window) / 2;
-  std::vector<double> y(x.size());
-  std::vector<double> scratch;
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + half);
-    scratch.assign(x.begin() + lo, x.begin() + hi + 1);
-    auto mid = scratch.begin() + scratch.size() / 2;
-    std::nth_element(scratch.begin(), mid, scratch.end());
-    double med = *mid;
-    if (scratch.size() % 2 == 0) {
-      auto lower = std::max_element(scratch.begin(), mid);
-      med = (med + *lower) / 2.0;
-    }
-    y[static_cast<std::size_t>(i)] = med;
-  }
-  return y;
-}
 
 void detrend_linear(std::vector<double>& x) {
   if (x.size() < 2) return;
@@ -80,63 +26,6 @@ void detrend_linear(std::vector<double>& x) {
   const double intercept = mx - slope * mt;
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] -= slope * static_cast<double>(i) + intercept;
-}
-
-std::size_t hampel_filter(std::vector<double>& x, std::size_t window,
-                          double n_sigmas) {
-  check_window(window);
-  if (x.empty()) return 0;
-  constexpr double kMadToSigma = 1.4826;
-  const std::vector<double> original = x;
-  const auto n = static_cast<std::ptrdiff_t>(x.size());
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(window) / 2;
-  std::size_t replaced = 0;
-  std::vector<double> block, deviations;
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + half);
-    block.assign(original.begin() + lo, original.begin() + hi + 1);
-    const double med = common::median(block);
-    deviations.clear();
-    for (double v : block) deviations.push_back(std::abs(v - med));
-    const double mad = common::median(deviations);
-    const double threshold = n_sigmas * kMadToSigma * mad;
-    const double dev = std::abs(original[static_cast<std::size_t>(i)] - med);
-    if (mad > 0.0 && dev > threshold) {
-      x[static_cast<std::size_t>(i)] = med;
-      ++replaced;
-    }
-  }
-  return replaced;
-}
-
-std::vector<double> exponential_smooth(std::span<const double> x,
-                                       double alpha) {
-  if (alpha <= 0.0 || alpha > 1.0)
-    throw std::invalid_argument("exponential_smooth: alpha in (0, 1]");
-  std::vector<double> y(x.size());
-  if (x.empty()) return y;
-  y[0] = x[0];
-  for (std::size_t i = 1; i < x.size(); ++i)
-    y[i] = alpha * x[i] + (1.0 - alpha) * y[i - 1];
-  return y;
-}
-
-std::vector<double> diff(std::span<const double> x) {
-  if (x.size() < 2) return {};
-  std::vector<double> y(x.size() - 1);
-  for (std::size_t i = 0; i + 1 < x.size(); ++i) y[i] = x[i + 1] - x[i];
-  return y;
-}
-
-std::vector<double> cumulative_sum(std::span<const double> x) {
-  std::vector<double> y(x.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += x[i];
-    y[i] = acc;
-  }
-  return y;
 }
 
 }  // namespace tagbreathe::signal

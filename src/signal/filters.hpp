@@ -1,42 +1,15 @@
 // Time-domain conditioning filters.
 //
 // Displacement tracks integrate phase deltas (Eq. 4), so they carry slow
-// drift (integrated noise, posture shifts) and occasional spikes (phase
-// outliers from multipath flicker). These helpers condition the track
+// drift (integrated noise, posture shifts). The extractor removes it
 // before spectral analysis.
 #pragma once
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 namespace tagbreathe::signal {
 
-/// Centred moving average of the given (odd) window length.
-std::vector<double> moving_average(std::span<const double> x,
-                                   std::size_t window);
-
-/// Centred moving median of the given (odd) window length.
-std::vector<double> moving_median(std::span<const double> x,
-                                  std::size_t window);
-
 /// Removes the least-squares linear trend in place.
 void detrend_linear(std::vector<double>& x);
-
-/// Hampel filter: replaces samples further than `n_sigmas` scaled MADs
-/// from the local median with the local median. Returns the number of
-/// samples replaced.
-std::size_t hampel_filter(std::vector<double>& x, std::size_t window,
-                          double n_sigmas = 3.0);
-
-/// One-pole exponential smoother, alpha in (0, 1]; alpha = 1 is identity.
-std::vector<double> exponential_smooth(std::span<const double> x,
-                                       double alpha);
-
-/// First difference: y[i] = x[i+1] - x[i] (length n-1).
-std::vector<double> diff(std::span<const double> x);
-
-/// Cumulative sum with initial value 0: y[i] = sum_{k<=i} x[k].
-std::vector<double> cumulative_sum(std::span<const double> x);
 
 }  // namespace tagbreathe::signal

@@ -91,17 +91,6 @@ std::vector<double> filtfilt(std::span<const double> x,
   return backward;
 }
 
-double frequency_response_mag(std::span<const double> taps, double freq_hz,
-                              double sample_rate_hz) noexcept {
-  double re = 0.0, im = 0.0;
-  const double omega = kTwoPi * freq_hz / sample_rate_hz;
-  for (std::size_t k = 0; k < taps.size(); ++k) {
-    re += taps[k] * std::cos(omega * static_cast<double>(k));
-    im -= taps[k] * std::sin(omega * static_cast<double>(k));
-  }
-  return std::sqrt(re * re + im * im);
-}
-
 std::size_t suggest_num_taps(double transition_hz, double sample_rate_hz) {
   if (transition_hz <= 0.0 || sample_rate_hz <= 0.0)
     throw std::invalid_argument("suggest_num_taps: args must be positive");

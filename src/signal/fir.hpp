@@ -40,10 +40,6 @@ std::vector<double> filter_same(std::span<const double> x,
 std::vector<double> filtfilt(std::span<const double> x,
                              std::span<const double> taps);
 
-/// Complex frequency response magnitude of the kernel at `freq_hz`.
-double frequency_response_mag(std::span<const double> taps, double freq_hz,
-                              double sample_rate_hz) noexcept;
-
 /// Suggested tap count for a transition band width [Hz] using the Harris
 /// approximation for a Hamming window; always returns an odd count >= 3.
 std::size_t suggest_num_taps(double transition_hz, double sample_rate_hz);

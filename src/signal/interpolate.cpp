@@ -1,27 +1,8 @@
 #include "signal/interpolate.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace tagbreathe::signal {
-
-double interp_linear(std::span<const TimedSample> samples, double t) {
-  if (samples.empty())
-    throw std::invalid_argument("interp_linear: empty series");
-  if (t <= samples.front().time_s) return samples.front().value;
-  if (t >= samples.back().time_s) return samples.back().value;
-  // First sample with time >= t.
-  const auto it = std::lower_bound(
-      samples.begin(), samples.end(), t,
-      [](const TimedSample& s, double query) { return s.time_s < query; });
-  const auto hi = static_cast<std::size_t>(it - samples.begin());
-  const std::size_t lo = hi - 1;
-  const double span = samples[hi].time_s - samples[lo].time_s;
-  if (span <= 0.0) return samples[lo].value;
-  const double frac = (t - samples[lo].time_s) / span;
-  return samples[lo].value + frac * (samples[hi].value - samples[lo].value);
-}
 
 std::vector<TimedSample> resample_uniform(std::span<const TimedSample> samples,
                                           double rate_hz, double t0, double t1,
@@ -67,31 +48,6 @@ std::vector<TimedSample> resample_uniform(std::span<const TimedSample> samples,
   if (samples.empty()) return {};
   return resample_uniform(samples, rate_hz, samples.front().time_s,
                           samples.back().time_s, max_gap_s);
-}
-
-void split_series(std::span<const TimedSample> samples,
-                  std::vector<double>& times, std::vector<double>& values) {
-  times.clear();
-  values.clear();
-  times.reserve(samples.size());
-  values.reserve(samples.size());
-  for (const TimedSample& s : samples) {
-    times.push_back(s.time_s);
-    values.push_back(s.value);
-  }
-}
-
-double mean_sample_rate(std::span<const TimedSample> samples) noexcept {
-  if (samples.size() < 2) return 0.0;
-  const double span = samples.back().time_s - samples.front().time_s;
-  if (span <= 0.0) return 0.0;
-  return static_cast<double>(samples.size() - 1) / span;
-}
-
-bool is_time_sorted(std::span<const TimedSample> samples) noexcept {
-  for (std::size_t i = 1; i < samples.size(); ++i)
-    if (samples[i].time_s < samples[i - 1].time_s) return false;
-  return true;
 }
 
 }  // namespace tagbreathe::signal

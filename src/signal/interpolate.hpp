@@ -19,10 +19,6 @@ struct TimedSample {
   double value = 0.0;
 };
 
-/// Linear interpolation of (t, x) at query time `t`. Clamps outside the
-/// domain. `samples` must be sorted by time and non-empty.
-double interp_linear(std::span<const TimedSample> samples, double t);
-
 /// Resamples a sorted irregular series onto a uniform grid of period
 /// 1/rate_hz covering [t0, t1]. Gaps longer than `max_gap_s` are bridged
 /// by holding the last value before the gap (linear interpolation across
@@ -36,15 +32,5 @@ std::vector<TimedSample> resample_uniform(std::span<const TimedSample> samples,
 std::vector<TimedSample> resample_uniform(std::span<const TimedSample> samples,
                                           double rate_hz,
                                           double max_gap_s = 0.0);
-
-/// Splits a TimedSample series into separate time/value vectors.
-void split_series(std::span<const TimedSample> samples,
-                  std::vector<double>& times, std::vector<double>& values);
-
-/// Average sample rate [Hz] of a sorted series (0 for fewer than 2 points).
-double mean_sample_rate(std::span<const TimedSample> samples) noexcept;
-
-/// True if the series is sorted by non-decreasing time.
-bool is_time_sorted(std::span<const TimedSample> samples) noexcept;
 
 }  // namespace tagbreathe::signal

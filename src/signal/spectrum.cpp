@@ -4,12 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/units.hpp"
 #include "signal/fft.hpp"
 
 namespace tagbreathe::signal {
-
-using tagbreathe::common::kTwoPi;
 
 std::vector<SpectrumBin> periodogram(std::span<const double> x,
                                      double sample_rate_hz,
@@ -69,13 +66,6 @@ double dominant_frequency(std::span<const double> x, double sample_rate_hz,
   delta = std::clamp(delta, -0.5, 0.5);
   const double bin_width = bins[1].frequency_hz - bins[0].frequency_hz;
   return bins[best].frequency_hz + delta * bin_width;
-}
-
-double autocorrelation_fundamental(std::span<const double> x,
-                                   double sample_rate_hz, double f_lo,
-                                   double f_hi) {
-  FftWorkspace ws;
-  return autocorrelation_fundamental(x, sample_rate_hz, f_lo, f_hi, ws);
 }
 
 double autocorrelation_fundamental(std::span<const double> x,
@@ -150,26 +140,6 @@ double autocorrelation_fundamental(std::span<const double> x,
     }
   }
   return 0.0;
-}
-
-void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws) {
-  const std::size_t count = jobs.size();
-  if (count == 0) return;
-
-  // High-water staging: nothing here ever shrinks, so a warm workspace
-  // runs any previously-seen batch shape without allocating. Empty
-  // signals ride along: an empty spectrum inverts to an empty output.
-  if (ws.spectra.size() < count) ws.spectra.resize(count);
-  ws.fwd_jobs.clear();
-  ws.mask_jobs.clear();
-  for (std::size_t j = 0; j < count; ++j) {
-    const BandLimitJob& job = jobs[j];
-    ws.fwd_jobs.push_back(RealFftJob{job.x, &ws.spectra[j]});
-    ws.mask_jobs.push_back(BandMaskJob{&ws.spectra[j], job.sample_rate_hz,
-                                       job.f_lo, job.f_hi, job.out});
-  }
-  fft_real_many(ws.fwd_jobs, ws.scratch);
-  bandlimit_inverse_many(ws.mask_jobs, ws);
 }
 
 namespace {
@@ -247,73 +217,6 @@ void band_synthesize(const BandPlan& plan, std::span<const cdouble> bins,
                              : weight(k) * bins[k]);
   out.resize(n);
   plan.synthesize(ws.band, first, out, ws.scratch);
-}
-
-namespace {
-
-void fft_bandlimit_into(std::span<const double> x, double sample_rate_hz,
-                        double f_lo, double f_hi, FftWorkspace& ws,
-                        std::vector<double>& out) {
-  const BandLimitJob job{x, sample_rate_hz, f_lo, f_hi, &out};
-  fft_bandlimit_many({&job, 1}, ws);
-}
-
-}  // namespace
-
-void fft_lowpass_into(std::span<const double> x, double sample_rate_hz,
-                      double cutoff_hz, bool remove_dc, FftWorkspace& ws,
-                      std::vector<double>& out) {
-  if (cutoff_hz <= 0.0)
-    throw std::invalid_argument("fft_lowpass: cutoff must be positive");
-  const double f_lo = remove_dc ? kDcRejectHz : 0.0;
-  fft_bandlimit_into(x, sample_rate_hz, f_lo, cutoff_hz, ws, out);
-}
-
-void fft_bandpass_into(std::span<const double> x, double sample_rate_hz,
-                       double f_lo, double f_hi, FftWorkspace& ws,
-                       std::vector<double>& out) {
-  if (f_lo < 0.0 || f_hi <= f_lo)
-    throw std::invalid_argument("fft_bandpass: need 0 <= f_lo < f_hi");
-  fft_bandlimit_into(x, sample_rate_hz, f_lo, f_hi, ws, out);
-}
-
-std::vector<double> fft_lowpass(std::span<const double> x,
-                                double sample_rate_hz, double cutoff_hz,
-                                bool remove_dc) {
-  FftWorkspace ws;
-  std::vector<double> out;
-  fft_lowpass_into(x, sample_rate_hz, cutoff_hz, remove_dc, ws, out);
-  return out;
-}
-
-std::vector<double> fft_bandpass(std::span<const double> x,
-                                 double sample_rate_hz, double f_lo,
-                                 double f_hi) {
-  FftWorkspace ws;
-  std::vector<double> out;
-  fft_bandpass_into(x, sample_rate_hz, f_lo, f_hi, ws, out);
-  return out;
-}
-
-double goertzel_power(std::span<const double> x, double sample_rate_hz,
-                      double freq_hz) {
-  if (sample_rate_hz <= 0.0)
-    throw std::invalid_argument("goertzel: sample rate must be positive");
-  const std::size_t n = x.size();
-  if (n == 0) return 0.0;
-  // Nearest integer bin.
-  const double k = std::round(freq_hz / sample_rate_hz * static_cast<double>(n));
-  const double omega = kTwoPi * k / static_cast<double>(n);
-  const double coeff = 2.0 * std::cos(omega);
-  double s_prev = 0.0, s_prev2 = 0.0;
-  for (double v : x) {
-    const double s = v + coeff * s_prev - s_prev2;
-    s_prev2 = s_prev;
-    s_prev = s;
-  }
-  const double power =
-      s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
-  return power / (static_cast<double>(n) * static_cast<double>(n));
 }
 
 }  // namespace tagbreathe::signal

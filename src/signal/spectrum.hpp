@@ -1,5 +1,6 @@
-// Spectral analysis: periodogram, dominant frequency, the paper's
-// FFT-based low-pass filter, and Goertzel single-bin evaluation.
+// Spectral analysis: periodogram, dominant frequency, the ACF
+// fundamental, and the paper's FFT band filter (Sec. IV-B) in its full
+// (mask-and-inverse) and band (bins 0..K) forms.
 #pragma once
 
 #include <cstddef>
@@ -32,20 +33,17 @@ struct FftWorkspace {
   FftScratch scratch;
   std::vector<cdouble> spectrum;  // ACF bins (padded power-spectrum round trip)
   std::vector<double> signal;     // ACF real staging (padded track, then |X|^2)
-  /// Per-job bins for batched filters (fft_bandlimit_many, and
-  /// BreathExtractor::extract_many's shared forward sweep): the whole
-  /// batch's forward transforms must be live at once between the
-  /// forward and inverse sweeps.
+  /// Per-job bins of BreathExtractor::extract_many's shared forward
+  /// sweep: the whole batch's forward transforms must be live at once
+  /// between the forward and inverse sweeps.
   std::vector<std::vector<cdouble>> spectra;
-  std::vector<RealFftJob> fwd_jobs;    // batched-sweep staging
-  std::vector<BandMaskJob> mask_jobs;  // batched-sweep staging
-  std::vector<RealIfftJob> inv_jobs;   // batched-sweep staging
+  std::vector<RealIfftJob> inv_jobs;  // bandlimit_inverse_many staging
   std::vector<cdouble> band;  // band_synthesize staging: weighted kept bins
 };
 
-/// The f_lo used to knock out the DC bin when a low-pass asks for
-/// remove_dc: any positive value below the first bin's frequency works;
-/// shared so single and batched paths agree exactly.
+/// The f_lo used to knock out the DC bin in a low-pass: any positive
+/// value below the first bin's frequency works; shared so the full and
+/// band paths keep the same bins.
 inline constexpr double kDcRejectHz = 1e-12;
 
 /// One-sided power spectrum sample: frequency [Hz] and power.
@@ -74,13 +72,7 @@ double dominant_frequency(std::span<const double> x, double sample_rate_hz,
 /// white and random-walk noise, and resolves the period-multiple
 /// ambiguity by taking the smallest peak lag within 90% of the best.
 /// Searches periods in [1/f_hi, 1/f_lo]; returns 0 when no peak exists.
-/// `x` should be detrended / low-passed to f_hi by the caller. Delegates
-/// to the workspace overload with a throwaway workspace.
-double autocorrelation_fundamental(std::span<const double> x,
-                                   double sample_rate_hz, double f_lo,
-                                   double f_hi);
-
-/// autocorrelation_fundamental through a caller-owned workspace: the
+/// `x` should be detrended / low-passed to f_hi by the caller. The
 /// ACF runs as two forward real transforms of the cached
 /// RealFftPlan(next_pow2(N + L)), L the longest searched lag (at most
 /// N - 1), and stages everything in ws.signal, ws.spectrum and
@@ -90,55 +82,12 @@ double autocorrelation_fundamental(std::span<const double> x,
                                    double sample_rate_hz, double f_lo,
                                    double f_hi, FftWorkspace& ws);
 
-/// The paper's breath-extraction filter (Sec. IV-B): FFT the series, zero
-/// every bin whose |frequency| exceeds `cutoff_hz` (0.67 Hz in the paper,
-/// i.e. 40 bpm), inverse FFT back to the time domain. Zero-phase by
-/// construction. The DC bin is also removed: the breathing signal is an
-/// oscillation around the rest chest position.
-std::vector<double> fft_lowpass(std::span<const double> x,
-                                double sample_rate_hz, double cutoff_hz,
-                                bool remove_dc = true);
-
-/// Band-pass variant used by the robustness extensions: keeps bins with
-/// f_lo <= |f| <= f_hi.
-std::vector<double> fft_bandpass(std::span<const double> x,
-                                 double sample_rate_hz, double f_lo,
-                                 double f_hi);
-
-/// Plan-based fft_lowpass into a caller buffer. `out` is resized to
-/// x.size(); steady-state calls (warm workspace, same window length)
-/// perform zero heap allocations. The one-shot overload above delegates
-/// here with a throwaway workspace.
-void fft_lowpass_into(std::span<const double> x, double sample_rate_hz,
-                      double cutoff_hz, bool remove_dc, FftWorkspace& ws,
-                      std::vector<double>& out);
-
-/// Plan-based fft_bandpass into a caller buffer (see fft_lowpass_into).
-void fft_bandpass_into(std::span<const double> x, double sample_rate_hz,
-                       double f_lo, double f_hi, FftWorkspace& ws,
-                       std::vector<double>& out);
-
-/// One signal of a batched band-limit sweep: keep bins with
-/// f_lo <= |f| <= f_hi, zero the rest. `out` is resized to x.size().
-struct BandLimitJob {
-  std::span<const double> x;
-  double sample_rate_hz = 0.0;
-  double f_lo = 0.0;
-  double f_hi = 0.0;
-  std::vector<double>* out = nullptr;
-};
-
-/// Batched band-limit filter: one forward sweep over every job (shared
-/// plan, fetched once per size change) into ws.spectra, then
-/// bandlimit_inverse_many. Bit-identical to running fft_lowpass_into /
-/// fft_bandpass_into per job — the single-job helpers delegate here —
-/// and allocation-free once `ws` has seen the batch shape.
-void fft_bandlimit_many(std::span<const BandLimitJob> jobs, FftWorkspace& ws);
-
-/// The mask-and-inverse half of fft_bandlimit_many, for callers that
-/// already hold the forward spectra: per-job bin zeroing, then one
-/// inverse sweep (staged in ws.inv_jobs). The same spectrum and band
-/// give bit-identical output to fft_bandlimit_many.
+/// The paper's breath-extraction filter (Sec. IV-B) over spectra the
+/// caller already holds (fft_real_many): per job, zero every bin whose
+/// |frequency| lies outside [f_lo, f_hi], then run one inverse sweep
+/// (staged in ws.inv_jobs). Zero-phase by construction; f_lo =
+/// kDcRejectHz makes it the paper's low-pass with the DC bin removed.
+/// Throws std::invalid_argument on a non-positive sample rate.
 void bandlimit_inverse_many(std::span<const BandMaskJob> jobs,
                             FftWorkspace& ws);
 
@@ -158,11 +107,5 @@ std::size_t band_top_bin(std::size_t n, double sample_rate_hz, double f_hi);
 void band_synthesize(const BandPlan& plan, std::span<const cdouble> bins,
                      double sample_rate_hz, double f_lo, double f_hi,
                      std::vector<double>& out, FftWorkspace& ws);
-
-/// Goertzel algorithm: power of the single DFT bin nearest `freq_hz`.
-/// O(N) per frequency — cheaper than a full FFT when the pipeline only
-/// needs the power in a handful of candidate breathing bins.
-double goertzel_power(std::span<const double> x, double sample_rate_hz,
-                      double freq_hz);
 
 }  // namespace tagbreathe::signal

@@ -40,21 +40,4 @@ std::vector<ZeroCrossing> detect_zero_crossings(
   return crossings;
 }
 
-std::vector<ZeroCrossing> detect_zero_crossings(std::span<const double> values,
-                                                double sample_rate_hz,
-                                                double t0, double hysteresis) {
-  std::vector<TimedSample> series(values.size());
-  const double dt = sample_rate_hz > 0.0 ? 1.0 / sample_rate_hz : 1.0;
-  for (std::size_t i = 0; i < values.size(); ++i)
-    series[i] = TimedSample{t0 + static_cast<double>(i) * dt, values[i]};
-  return detect_zero_crossings(series, hysteresis);
-}
-
-double hysteresis_from_peak(std::span<const double> values,
-                            double fraction) noexcept {
-  double peak = 0.0;
-  for (double v : values) peak = std::max(peak, std::abs(v));
-  return fraction * peak;
-}
-
 }  // namespace tagbreathe::signal

@@ -30,14 +30,4 @@ struct ZeroCrossing {
 std::vector<ZeroCrossing> detect_zero_crossings(
     std::span<const TimedSample> series, double hysteresis = 0.0);
 
-/// Convenience for a uniformly sampled series starting at t0.
-std::vector<ZeroCrossing> detect_zero_crossings(std::span<const double> values,
-                                                double sample_rate_hz,
-                                                double t0 = 0.0,
-                                                double hysteresis = 0.0);
-
-/// Relative hysteresis helper: `fraction` of the series' peak magnitude.
-double hysteresis_from_peak(std::span<const double> values,
-                            double fraction) noexcept;
-
 }  // namespace tagbreathe::signal

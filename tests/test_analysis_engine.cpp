@@ -211,7 +211,9 @@ TEST(RealFft, PackedEvenLengthMatchesComplexTransform) {
       EXPECT_NEAR(packed[k].imag(), expected[k].imag(), 1e-9) << "n=" << n;
     }
     // Round trip back to the real signal.
-    const auto back = signal::ifft_real(packed);
+    FftScratch scratch;
+    std::vector<double> back(n);
+    RealFftPlan::get(n)->execute_inverse(packed, back, scratch);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
   }
 }
@@ -232,29 +234,7 @@ TEST(PlanCache, SharedAcrossLookupsAndClearable) {
   EXPECT_NO_THROW(a->execute(test_signal(48), out, scratch));
 }
 
-// --- filters: plan path vs one-shot, zero-allocation steady state -----------
-
-TEST(PlannedFilters, IntoVariantsMatchOneShot) {
-  for (const std::size_t n : {200u, 256u, 251u}) {
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = static_cast<double>(i) / 20.0;
-      x[i] = 0.5 * std::sin(common::kTwoPi * 0.2 * t) +
-             0.2 * std::sin(common::kTwoPi * 3.0 * t) + 0.1;
-    }
-    const auto lp = signal::fft_lowpass(x, 20.0, 0.67);
-    signal::FftWorkspace ws;
-    std::vector<double> lp2;
-    signal::fft_lowpass_into(x, 20.0, 0.67, /*remove_dc=*/true, ws, lp2);
-    ASSERT_EQ(lp.size(), lp2.size());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(lp[i], lp2[i]);
-
-    const auto bp = signal::fft_bandpass(x, 20.0, 0.1, 0.67);
-    std::vector<double> bp2;
-    signal::fft_bandpass_into(x, 20.0, 0.1, 0.67, ws, bp2);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(bp[i], bp2[i]);
-  }
-}
+// --- filters: zero-allocation steady state ----------------------------------
 
 TEST(PlannedFilters, SteadyStateLowpassPerformsZeroAllocations) {
   // Both a pow2 window and a Bluestein (non-pow2) window: the chirp and
@@ -265,14 +245,22 @@ TEST(PlannedFilters, SteadyStateLowpassPerformsZeroAllocations) {
     for (std::size_t i = 0; i < n; ++i)
       x[i] = std::sin(0.05 * static_cast<double>(i));
     signal::FftWorkspace ws;
+    std::vector<cdouble> spectrum;
     std::vector<double> out;
+    // The full-path low-pass: forward transform, then mask and inverse.
+    const auto lowpass = [&] {
+      signal::fft_real_into(x, spectrum, ws.scratch);
+      const signal::BandMaskJob job{&spectrum, 20.0, signal::kDcRejectHz,
+                                    0.67, &out};
+      signal::bandlimit_inverse_many({&job, 1}, ws);
+    };
     // Warm-up: builds/fetches plans, grows workspace buffers.
-    signal::fft_lowpass_into(x, 20.0, 0.67, true, ws, out);
-    signal::fft_lowpass_into(x, 20.0, 0.67, true, ws, out);
+    lowpass();
+    lowpass();
 
     const std::uint64_t before = g_allocations.load();
-    signal::fft_lowpass_into(x, 20.0, 0.67, true, ws, out);
-    signal::fft_lowpass_into(x, 20.0, 0.67, true, ws, out);
+    lowpass();
+    lowpass();
     const std::uint64_t after = g_allocations.load();
     EXPECT_EQ(after - before, 0u) << "n=" << n;
   }

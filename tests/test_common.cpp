@@ -201,24 +201,6 @@ TEST(Stats, MedianAndPercentile) {
   EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
 }
 
-TEST(Stats, RmseMae) {
-  std::vector<double> a{1.0, 2.0, 3.0};
-  std::vector<double> b{1.0, 4.0, 3.0};
-  EXPECT_NEAR(rmse(a, b), std::sqrt(4.0 / 3.0), 1e-12);
-  EXPECT_NEAR(mae(a, b), 2.0 / 3.0, 1e-12);
-  EXPECT_THROW(rmse(a, std::vector<double>{1.0}), std::invalid_argument);
-}
-
-TEST(Stats, PearsonCorrelation) {
-  std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  std::vector<double> ny{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(x, ny), -1.0, 1e-12);
-  std::vector<double> constant{5.0, 5.0, 5.0, 5.0};
-  EXPECT_EQ(pearson(x, constant), 0.0);
-}
-
 TEST(Stats, LinearFitRecoversLine) {
   std::vector<double> x, y;
   for (int i = 0; i < 50; ++i) {

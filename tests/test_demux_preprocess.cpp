@@ -38,8 +38,6 @@ TEST(Demux, GroupsByUserTagAntenna) {
   EXPECT_EQ(demux.streams_for_user(1).size(), 3u);  // (1,1), (2,1), (1,2)
   EXPECT_EQ(demux.streams_for_user(2).size(), 1u);
   EXPECT_EQ(demux.streams_for_user_antenna(1, 1).size(), 2u);
-  EXPECT_EQ(demux.antennas_for_user(1),
-            (std::vector<std::uint8_t>{1, 2}));
   EXPECT_EQ(demux.accepted_reads(), 5u);
 }
 

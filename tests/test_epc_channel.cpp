@@ -175,14 +175,5 @@ TEST(HopSchedule, NegativeTimeClamps) {
   EXPECT_EQ(hops.channel_at(-5.0), hops.channel_at(0.0));
 }
 
-TEST(HopSchedule, FrequencyMatchesChannel) {
-  HopSchedule hops(ChannelPlan::paper_plan(), 13);
-  for (double t = 0.0; t < 4.0; t += 0.21) {
-    const auto ch = hops.channel_at(t);
-    EXPECT_DOUBLE_EQ(hops.frequency_at(t), hops.plan().frequency_hz(ch));
-    EXPECT_DOUBLE_EQ(hops.wavelength_at(t), hops.plan().wavelength_m(ch));
-  }
-}
-
 }  // namespace
 }  // namespace tagbreathe::rfid

@@ -21,7 +21,6 @@ TEST(BreathSignal, ValueAndTimeViews) {
   sig.sample_rate_hz = 20.0;
   sig.samples = {{0.0, 1.0}, {0.05, 2.0}, {0.10, 3.0}};
   EXPECT_EQ(sig.values(), (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(sig.times(), (std::vector<double>{0.0, 0.05, 0.10}));
 }
 
 // --- reader statistics -----------------------------------------------------------

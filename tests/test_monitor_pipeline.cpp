@@ -43,7 +43,6 @@ TEST(AntennaSelector, PrefersHigherReadRate) {
   const auto busy = reads_on_antenna(1, 600, -60.0, 10.0);
   const auto quiet = reads_on_antenna(2, 60, -60.0, 10.0);
   std::vector<const std::vector<TagRead>*> streams{&busy, &quiet};
-  EXPECT_EQ(select_antenna(streams, 10.0), 1);
   const auto scored = score_antennas(streams, 10.0);
   ASSERT_EQ(scored.size(), 2u);
   EXPECT_EQ(scored[0].antenna_id, 1);
@@ -55,12 +54,11 @@ TEST(AntennaSelector, RssiBreaksTies) {
   const auto strong = reads_on_antenna(1, 300, -50.0, 10.0);
   const auto weak = reads_on_antenna(2, 300, -75.0, 10.0);
   std::vector<const std::vector<TagRead>*> streams{&weak, &strong};
-  EXPECT_EQ(select_antenna(streams, 10.0), 1);
+  EXPECT_EQ(score_antennas(streams, 10.0).front().antenna_id, 1);
 }
 
 TEST(AntennaSelector, EmptyStreams) {
   std::vector<const std::vector<TagRead>*> none;
-  EXPECT_EQ(select_antenna(none, 10.0), 0);
   EXPECT_TRUE(score_antennas(none, 10.0).empty());
 }
 
@@ -167,7 +165,7 @@ TEST(AntennaSelector, ExactTiesGoToTheLowerAntennaId) {
                 i + 1);
       EXPECT_EQ(scored[static_cast<std::size_t>(i)].score, scored[0].score);
     }
-    EXPECT_EQ(select_antenna(streams, 10.0), 1);
+    EXPECT_EQ(scored.front().antenna_id, 1);
   }
 }
 

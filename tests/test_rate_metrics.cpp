@@ -214,12 +214,16 @@ TEST(Metrics, Eq8FiniteResultsStayInUnitInterval) {
 }
 
 TEST(Metrics, MeanAccuracy) {
-  std::vector<double> est{10.0, 9.0};
-  std::vector<double> truth{10.0, 10.0};
-  EXPECT_NEAR(mean_accuracy(est, truth), 0.95, 1e-12);
-  EXPECT_THROW(mean_accuracy(est, std::vector<double>{1.0}),
+  std::vector<double> est{10.0, 9.0, 1.0};
+  std::vector<double> truth{10.0, 10.0, 10.0};
+  const std::vector<std::uint8_t> first_two{1, 1, 0};
+  EXPECT_NEAR(mean_accuracy_masked(est, truth, first_two), 0.95, 1e-12);
+  EXPECT_DOUBLE_EQ(max_rate_error_masked(est, truth, first_two), 1.0);
+  EXPECT_THROW(mean_accuracy_masked(est, truth, std::vector<std::uint8_t>{1}),
                std::invalid_argument);
-  EXPECT_EQ(mean_accuracy({}, {}), 0.0);
+  const std::vector<std::uint8_t> none{0, 0, 0};
+  EXPECT_EQ(mean_accuracy_masked(est, truth, none), 0.0);
+  EXPECT_EQ(mean_accuracy_masked({}, {}, {}), 0.0);
 }
 
 }  // namespace

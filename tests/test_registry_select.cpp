@@ -35,9 +35,9 @@ TEST(TagRegistry, RegisterLookupUnregister) {
   EXPECT_EQ(registry.lookup(factory)->user_id, 7u);
   EXPECT_EQ(registry.size(), 1u);
 
-  EXPECT_TRUE(registry.unregister_tag(factory));
-  EXPECT_FALSE(registry.unregister_tag(factory));
+  registry.clear();
   EXPECT_TRUE(registry.empty());
+  EXPECT_FALSE(registry.lookup(factory).has_value());
 }
 
 TEST(TagRegistry, DemuxResolvesThroughRegistry) {

@@ -14,12 +14,14 @@ using common::kTwoPi;
 // --- interpolation ----------------------------------------------------------
 
 TEST(Interpolate, LinearBetweenPoints) {
+  // A grid of t = -1, -0.5, ..., 4 over a series spanning [0, 3].
   std::vector<TimedSample> s{{0.0, 0.0}, {1.0, 10.0}, {3.0, 30.0}};
-  EXPECT_DOUBLE_EQ(interp_linear(s, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp_linear(s, 2.0), 20.0);
-  EXPECT_DOUBLE_EQ(interp_linear(s, -1.0), 0.0);   // clamp left
-  EXPECT_DOUBLE_EQ(interp_linear(s, 99.0), 30.0);  // clamp right
-  EXPECT_THROW(interp_linear({}, 0.0), std::invalid_argument);
+  const auto u = resample_uniform(s, 2.0, -1.0, 4.0);
+  ASSERT_EQ(u.size(), 11u);
+  EXPECT_DOUBLE_EQ(u[3].value, 5.0);    // t = 0.5
+  EXPECT_DOUBLE_EQ(u[6].value, 20.0);   // t = 2
+  EXPECT_DOUBLE_EQ(u[0].value, 0.0);    // clamp left
+  EXPECT_DOUBLE_EQ(u[10].value, 30.0);  // clamp right
 }
 
 TEST(Resample, UniformGridCoversSpan) {
@@ -69,20 +71,16 @@ TEST(Resample, ErrorsAndEmpty) {
   EXPECT_TRUE(resample_uniform({}, 10.0).empty());
 }
 
-TEST(SeriesHelpers, SplitAndRateAndSorted) {
-  std::vector<TimedSample> s{{0.0, 1.0}, {0.5, 2.0}, {1.0, 3.0}};
-  std::vector<double> t, v;
-  split_series(s, t, v);
-  EXPECT_EQ(t, (std::vector<double>{0.0, 0.5, 1.0}));
-  EXPECT_EQ(v, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_DOUBLE_EQ(mean_sample_rate(s), 2.0);
-  EXPECT_TRUE(is_time_sorted(s));
-  std::swap(s[0], s[2]);
-  EXPECT_FALSE(is_time_sorted(s));
-  EXPECT_EQ(mean_sample_rate(std::vector<TimedSample>{}), 0.0);
-}
-
 // --- zero crossings ------------------------------------------------------------
+
+/// `values` as a series sampled at `rate_hz` from t = 0.
+std::vector<TimedSample> uniform_series(const std::vector<double>& values,
+                                        double rate_hz) {
+  std::vector<TimedSample> series(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i)
+    series[i] = TimedSample{static_cast<double>(i) / rate_hz, values[i]};
+  return series;
+}
 
 TEST(ZeroCrossing, CountsSineCrossings) {
   // 4 full cycles starting at zero: interior crossings at samples
@@ -91,7 +89,7 @@ TEST(ZeroCrossing, CountsSineCrossings) {
   std::vector<double> x(400);
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = std::sin(kTwoPi * 4.0 * static_cast<double>(i) / 400.0);
-  const auto crossings = detect_zero_crossings(x, 100.0);
+  const auto crossings = detect_zero_crossings(uniform_series(x, 100.0));
   EXPECT_EQ(crossings.size(), 7u);
   // Directions alternate.
   for (std::size_t i = 1; i < crossings.size(); ++i)
@@ -119,21 +117,16 @@ TEST(ZeroCrossing, HysteresisRejectsChatter) {
   for (int i = 0; i < 50; ++i) x.push_back((i % 2) ? 0.05 : -0.05);
   for (int i = 0; i < 50; ++i) x.push_back(1.0);
   for (int i = 0; i < 50; ++i) x.push_back(-1.0);
-  const auto noisy = detect_zero_crossings(x, 10.0, 0.0, /*hysteresis=*/0.0);
-  const auto clean = detect_zero_crossings(x, 10.0, 0.0, /*hysteresis=*/0.3);
+  const auto series = uniform_series(x, 10.0);
+  const auto noisy = detect_zero_crossings(series, /*hysteresis=*/0.0);
+  const auto clean = detect_zero_crossings(series, /*hysteresis=*/0.3);
   EXPECT_GT(noisy.size(), 10u);
   EXPECT_EQ(clean.size(), 1u);  // only the genuine 1.0 -> -1.0 crossing
 }
 
-TEST(ZeroCrossing, HysteresisFromPeak) {
-  std::vector<double> x{-0.5, 2.0, -1.0};
-  EXPECT_DOUBLE_EQ(hysteresis_from_peak(x, 0.25), 0.5);
-  EXPECT_DOUBLE_EQ(hysteresis_from_peak({}, 0.25), 0.0);
-}
-
 TEST(ZeroCrossing, EmptyAndShortInputs) {
-  EXPECT_TRUE(detect_zero_crossings(std::vector<double>{}, 10.0).empty());
-  EXPECT_TRUE(detect_zero_crossings(std::vector<double>{1.0}, 10.0).empty());
+  EXPECT_TRUE(detect_zero_crossings(uniform_series({}, 10.0)).empty());
+  EXPECT_TRUE(detect_zero_crossings(uniform_series({1.0}, 10.0)).empty());
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // override, first-call race under TSan), bit-exact vector-vs-scalar
 // kernel equivalence (butterflies, Bluestein pointwise products, Eq. 3
 // phase deltas with out-of-range lanes), batch-vs-single identity of
-// the fft_many / fft_bandlimit_many / extract_many sweeps (and of
-// extract_many's shared forward sweep against two full filter sweeps), the
+// the fft_real_many / ifft_real_many / bandlimit_inverse_many /
+// extract_many sweeps (and of extract_many's shared forward sweep
+// against one forward transform per filter), the
 // zero-allocation gate on the warm batched steady state (counting
 // operator-new hook), cache-line alignment of the per-slot scratch
 // arenas, analyze_users identity across batch sizes, and the
@@ -84,6 +85,7 @@ using signal::cdouble;
 using signal::FftDirection;
 using signal::FftPlan;
 using signal::FftScratch;
+using signal::RealFftPlan;
 using signal::simd::DspKernels;
 using signal::simd::SimdLevel;
 
@@ -361,11 +363,12 @@ TEST(FftEquivalence, RealTransformsBitIdenticalAcrossLevels) {
     signal::fft_real_into(input, vector_spec, scratch);
     EXPECT_TRUE(spans_bit_equal(vector_spec, scalar_spec)) << "n=" << n;
 
-    std::vector<double> scalar_time, vector_time;
+    std::vector<double> scalar_time(n), vector_time(n);
+    const auto plan = RealFftPlan::get(n);
     signal::simd::override_level_for_testing(SimdLevel::Scalar);
-    signal::ifft_real_into(scalar_spec, scalar_time, scratch);
+    plan->execute_inverse(scalar_spec, scalar_time, scratch);
     signal::simd::override_level_for_testing(signal::simd::detected_level());
-    signal::ifft_real_into(scalar_spec, vector_time, scratch);
+    plan->execute_inverse(scalar_spec, vector_time, scratch);
     EXPECT_TRUE(spans_bit_equal(vector_time, scalar_time)) << "n=" << n;
   }
 }
@@ -438,30 +441,6 @@ TEST(FftEquivalence, BandPlanBitIdenticalAcrossLevels) {
 
 // --- batch vs single identity ----------------------------------------------
 
-TEST(BatchedTransforms, FftManyMatchesPerJobExecutes) {
-  FftScratch scratch;
-  // Mixed sizes in one batch (forces plan re-fetch mid-sweep), plus an
-  // empty job that must pass through untouched.
-  const std::vector<std::size_t> sizes = {600, 600, 64, 601, 0, 600};
-  std::vector<std::vector<cdouble>> inputs, batch_out, single_out;
-  for (std::size_t j = 0; j < sizes.size(); ++j) {
-    inputs.push_back(random_complex(sizes[j], 0xC0FE + j));
-    batch_out.emplace_back(sizes[j]);
-    single_out.emplace_back(sizes[j]);
-  }
-  std::vector<signal::FftJob> jobs;
-  for (std::size_t j = 0; j < sizes.size(); ++j)
-    jobs.push_back(signal::FftJob{inputs[j], batch_out[j]});
-  signal::fft_many(FftDirection::Forward, jobs, scratch);
-  for (std::size_t j = 0; j < sizes.size(); ++j) {
-    if (sizes[j] == 0) continue;
-    FftPlan::get(sizes[j], FftDirection::Forward)
-        ->execute(inputs[j], single_out[j], scratch);
-  }
-  for (std::size_t j = 0; j < sizes.size(); ++j)
-    EXPECT_TRUE(spans_bit_equal(batch_out[j], single_out[j])) << "job " << j;
-}
-
 TEST(BatchedTransforms, RealManyMatchesSingleCalls) {
   FftScratch scratch;
   const std::vector<std::size_t> sizes = {600, 1, 600, 601, 0, 64};
@@ -481,8 +460,8 @@ TEST(BatchedTransforms, RealManyMatchesSingleCalls) {
     EXPECT_TRUE(spans_bit_equal(batch_spec[j], single_spec[j]))
         << "fwd job " << j;
 
-  // Inverse sweep: the batch shares one scratch, singles each use a
-  // fresh one — outputs must still match bit for bit.
+  // Inverse sweep: the batch shares one scratch, per-job plan executes
+  // each use a fresh one — outputs must still match bit for bit.
   std::vector<std::vector<double>> batch_time(sizes.size()),
       single_time(sizes.size());
   std::vector<signal::RealIfftJob> inv_jobs;
@@ -491,38 +470,48 @@ TEST(BatchedTransforms, RealManyMatchesSingleCalls) {
   signal::ifft_real_many(inv_jobs, scratch);
   for (std::size_t j = 0; j < sizes.size(); ++j) {
     FftScratch own_scratch;
-    signal::ifft_real_into(single_spec[j], single_time[j], own_scratch);
+    single_time[j].resize(sizes[j]);
+    if (sizes[j] > 0)
+      RealFftPlan::get(sizes[j])->execute_inverse(single_spec[j],
+                                                  single_time[j], own_scratch);
     EXPECT_TRUE(spans_bit_equal(batch_time[j], single_time[j]))
         << "inv job " << j;
   }
 }
 
 TEST(BatchedTransforms, BandlimitManyMatchesSingleFilters) {
+  // One forward sweep and one mask-and-inverse sweep over mixed sizes
+  // against the same filters one job at a time through another
+  // workspace.
   signal::FftWorkspace batch_ws, single_ws;
   constexpr double kRate = 20.0;
-  const std::vector<std::size_t> sizes = {600, 600, 480, 600};
+  const std::vector<std::size_t> sizes = {600, 600, 480, 601};
   std::vector<std::vector<double>> inputs;
+  std::vector<std::vector<cdouble>> spectra(sizes.size());
   std::vector<std::vector<double>> batch_out(sizes.size()),
       single_out(sizes.size());
   for (std::size_t j = 0; j < sizes.size(); ++j)
     inputs.push_back(random_real(sizes[j], 0xBEA7 + j));
+  // Alternate band-pass and DC-rejecting low-pass shapes.
+  const auto f_lo = [](std::size_t j) {
+    return j % 2 == 0 ? 0.05 : signal::kDcRejectHz;
+  };
 
-  std::vector<signal::BandLimitJob> jobs;
+  std::vector<signal::RealFftJob> forward;
+  std::vector<signal::BandMaskJob> masks;
   for (std::size_t j = 0; j < sizes.size(); ++j) {
-    // Alternate band-pass and DC-rejecting low-pass shapes.
-    const double f_lo = (j % 2 == 0) ? 0.05 : signal::kDcRejectHz;
-    jobs.push_back(
-        signal::BandLimitJob{inputs[j], kRate, f_lo, 0.67, &batch_out[j]});
+    forward.push_back(signal::RealFftJob{inputs[j], &spectra[j]});
+    masks.push_back(
+        signal::BandMaskJob{&spectra[j], kRate, f_lo(j), 0.67, &batch_out[j]});
   }
-  signal::fft_bandlimit_many(jobs, batch_ws);
+  signal::fft_real_many(forward, batch_ws.scratch);
+  signal::bandlimit_inverse_many(masks, batch_ws);
   for (std::size_t j = 0; j < sizes.size(); ++j) {
-    if (j % 2 == 0) {
-      signal::fft_bandpass_into(inputs[j], kRate, 0.05, 0.67, single_ws,
-                                single_out[j]);
-    } else {
-      signal::fft_lowpass_into(inputs[j], kRate, 0.67, /*remove_dc=*/true,
-                               single_ws, single_out[j]);
-    }
+    std::vector<cdouble> spectrum;
+    signal::fft_real_into(inputs[j], spectrum, single_ws.scratch);
+    const signal::BandMaskJob mask{&spectrum, kRate, f_lo(j), 0.67,
+                                   &single_out[j]};
+    signal::bandlimit_inverse_many({&mask, 1}, single_ws);
     EXPECT_TRUE(spans_bit_equal(batch_out[j], single_out[j])) << "job " << j;
   }
 }
@@ -582,7 +571,8 @@ TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
   // -> ACF -> main band filter) the output must not move a bit, on both
   // paths: 600/601 samples at 20 Hz keep bins 0..20 and take the band
   // path; 601 samples at 2 Hz keep bins 0..201, above the crossover, and
-  // take the full path, whose filter is fft_bandlimit_many.
+  // take the full path, whose filter is fft_real_many followed by
+  // bandlimit_inverse_many.
   const core::ExtractorConfig config;
   const core::BreathExtractor extractor(config);
   std::vector<std::vector<signal::TimedSample>> tracks;
@@ -609,8 +599,11 @@ TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
     const std::size_t top =
         signal::band_top_bin(values.size(), rate, config.cutoff_hz);
     if (!signal::BandPlan::preferred(values.size(), top)) {
-      const signal::BandLimitJob job{values, rate, f_lo, f_hi, &out};
-      signal::fft_bandlimit_many({&job, 1}, ref_ws);
+      std::vector<cdouble> spectrum;
+      const signal::RealFftJob forward{values, &spectrum};
+      signal::fft_real_many({&forward, 1}, ref_ws.scratch);
+      const signal::BandMaskJob mask{&spectrum, rate, f_lo, f_hi, &out};
+      signal::bandlimit_inverse_many({&mask, 1}, ref_ws);
       return;
     }
     ++band_tracks;
@@ -629,7 +622,7 @@ TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
     std::vector<double> coarse;
     filter(values, rate, signal::kDcRejectHz, config.cutoff_hz, coarse);
     const double f0 = signal::autocorrelation_fundamental(
-        coarse, rate, floor_hz, config.cutoff_hz);
+        coarse, rate, floor_hz, config.cutoff_hz, ref_ws);
     ASSERT_GT(f0, 0.0) << "job " << j;
     double lo = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
     double hi = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);
@@ -659,17 +652,26 @@ TEST(BatchedZeroAlloc, WarmBandlimitSweepAllocatesNothing) {
   constexpr double kRate = 20.0;
   constexpr std::size_t kJobs = 16;
   std::vector<std::vector<double>> inputs;
+  std::vector<std::vector<cdouble>> spectra(kJobs);
   std::vector<std::vector<double>> outs(kJobs);
   for (std::size_t j = 0; j < kJobs; ++j)
     inputs.push_back(random_real(600, 0xAA + j));
-  std::vector<signal::BandLimitJob> jobs;
-  for (std::size_t j = 0; j < kJobs; ++j)
-    jobs.push_back(
-        signal::BandLimitJob{inputs[j], kRate, 0.05, 0.67, &outs[j]});
+  std::vector<signal::RealFftJob> forward;
+  std::vector<signal::BandMaskJob> masks;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    forward.push_back(signal::RealFftJob{inputs[j], &spectra[j]});
+    masks.push_back(
+        signal::BandMaskJob{&spectra[j], kRate, 0.05, 0.67, &outs[j]});
+  }
+  // The full path's filter: one forward sweep, then mask and inverse.
+  const auto sweep = [&] {
+    signal::fft_real_many(forward, ws.scratch);
+    signal::bandlimit_inverse_many(masks, ws);
+  };
 
-  signal::fft_bandlimit_many(jobs, ws);  // warm-up: plans, staging, outs
+  sweep();  // warm-up: plans, staging, outs
   const std::uint64_t before = g_allocations.load();
-  for (int round = 0; round < 20; ++round) signal::fft_bandlimit_many(jobs, ws);
+  for (int round = 0; round < 20; ++round) sweep();
   EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 

@@ -1,15 +1,15 @@
 // Unit + property tests: spectral analysis (periodogram, peak searches,
-// ACF fundamental, FFT band filters, Goertzel).
+// ACF fundamental, the FFT band filter on its full and band paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "signal/filters.hpp"
 #include "signal/spectrum.hpp"
 
 namespace tagbreathe::signal {
@@ -29,6 +29,12 @@ std::vector<double> sine(double freq_hz, double fs, std::size_t n,
 void add_noise(std::vector<double>& x, double sigma, std::uint64_t seed) {
   common::Rng rng(seed);
   for (double& v : x) v += rng.normal(0.0, sigma);
+}
+
+double acf_fundamental(std::span<const double> x, double fs, double f_lo,
+                       double f_hi) {
+  FftWorkspace ws;
+  return autocorrelation_fundamental(x, fs, f_lo, f_hi, ws);
 }
 
 // --- periodogram -------------------------------------------------------------
@@ -86,7 +92,7 @@ TEST(DominantFrequency, RespectsBand) {
 
 TEST(AcfFundamental, ExactOnCleanSine) {
   const auto x = sine(0.25, 20.0, 1200);
-  const double f = autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
+  const double f = acf_fundamental(x, 20.0, 0.075, 0.67);
   EXPECT_NEAR(f, 0.25, 0.005);
 }
 
@@ -99,7 +105,7 @@ TEST_P(AcfSweep, RecoversRateAcrossBand) {
   const auto h = sine(2.0 * f_true, 20.0, 2400, 0.4, 0.7);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += h[i];
   add_noise(x, 0.3, 17 + static_cast<std::uint64_t>(f_true * 100));
-  const double f = autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
+  const double f = acf_fundamental(x, 20.0, 0.075, 0.67);
   EXPECT_NEAR(f, f_true, 0.04 * f_true + 0.01) << "f_true=" << f_true;
 }
 
@@ -111,7 +117,7 @@ TEST(AcfFundamental, ResolvesPeriodMultipleToSmallestLag) {
   // A clean periodic signal has ACF peaks at T, 2T, 3T...; the estimator
   // must return 1/T, not 1/(2T).
   const auto x = sine(0.3, 20.0, 2400);
-  const double f = autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
+  const double f = acf_fundamental(x, 20.0, 0.075, 0.67);
   EXPECT_NEAR(f, 0.3, 0.01);
 }
 
@@ -119,7 +125,7 @@ TEST(AcfFundamental, ReturnsZeroOnPureNoiseSometimesButNeverThrows) {
   common::Rng rng(19);
   std::vector<double> x(600);
   for (auto& v : x) v = rng.normal();
-  const double f = autocorrelation_fundamental(x, 20.0, 0.075, 0.67);
+  const double f = acf_fundamental(x, 20.0, 0.075, 0.67);
   EXPECT_GE(f, 0.0);
   EXPECT_LE(f, 0.7);
 }
@@ -189,45 +195,79 @@ TEST(AcfFundamental, MatchesDirectTimeDomainReference) {
       ASSERT_GT(reference, 0.0) << "n=" << n << " f=" << f_true;
       EXPECT_NEAR(planned, reference, 1e-9 * reference)
           << "n=" << n << " f=" << f_true;
-      // The workspace-free overload is the same computation.
-      EXPECT_EQ(autocorrelation_fundamental(x, 20.0, 0.075, 0.67), planned);
+      // A fresh workspace gives the same result as the reused one.
+      EXPECT_EQ(acf_fundamental(x, 20.0, 0.075, 0.67), planned);
     }
   }
 }
 
 TEST(AcfFundamental, ErrorsAndEdgeCases) {
-  EXPECT_THROW(autocorrelation_fundamental(std::vector<double>(100), 20.0,
-                                           0.5, 0.2),
+  EXPECT_THROW(acf_fundamental(std::vector<double>(100), 20.0, 0.5, 0.2),
                std::invalid_argument);
-  EXPECT_EQ(autocorrelation_fundamental(std::vector<double>(4), 20.0, 0.1,
-                                        0.5),
-            0.0);
+  EXPECT_EQ(acf_fundamental(std::vector<double>(4), 20.0, 0.1, 0.5), 0.0);
   // All-zero signal: r0 = 0.
-  EXPECT_EQ(autocorrelation_fundamental(std::vector<double>(256, 0.0), 20.0,
-                                        0.1, 0.5),
+  EXPECT_EQ(acf_fundamental(std::vector<double>(256, 0.0), 20.0, 0.1, 0.5),
             0.0);
 }
 
 // --- FFT band filters -----------------------------------------------------------
+//
+// The paper's filter (Sec. IV-B) keeps the bins with f_lo <= |f| <= f_hi;
+// f_lo = kDcRejectHz is its low-pass with the DC bin removed. The
+// extractor runs it two ways, and each case below holds for both: the
+// full path masks the whole spectrum and inverts it
+// (bandlimit_inverse_many), the band path transforms and synthesizes
+// bins 0..K alone (BandPlan::forward, band_synthesize).
+
+std::vector<double> full_path(std::span<const double> x, double fs,
+                              double f_lo, double f_hi) {
+  FftWorkspace ws;
+  std::vector<cdouble> spectrum = fft_real(x);
+  std::vector<double> out;
+  const BandMaskJob job{&spectrum, fs, f_lo, f_hi, &out};
+  bandlimit_inverse_many({&job, 1}, ws);
+  return out;
+}
+
+std::vector<double> band_path(std::span<const double> x, double fs,
+                              double f_lo, double f_hi) {
+  FftWorkspace ws;
+  const auto plan = BandPlan::get(x.size(), band_top_bin(x.size(), fs, f_hi));
+  std::vector<cdouble> bins(plan->max_bin() + 1);
+  plan->forward(x, bins, ws.scratch);
+  std::vector<double> out;
+  band_synthesize(*plan, bins, fs, f_lo, f_hi, out, ws);
+  return out;
+}
+
+using BandFilter = std::vector<double> (*)(std::span<const double>, double,
+                                           double, double);
+constexpr std::pair<const char*, BandFilter> kPaths[] = {
+    {"full", full_path}, {"band", band_path}};
 
 TEST(FftLowpass, RemovesHighFrequencyKeepsLow) {
   auto x = sine(0.2, 20.0, 800);
   const auto hf = sine(3.0, 20.0, 800, 0.8);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += hf[i];
-  const auto y = fft_lowpass(x, 20.0, 0.67);
   const auto clean = sine(0.2, 20.0, 800);
-  double err = 0.0;
-  for (std::size_t i = 50; i < 750; ++i)
-    err = std::max(err, std::abs(y[i] - clean[i]));
-  EXPECT_LT(err, 0.05);
+  for (const auto& [name, filter] : kPaths) {
+    const auto y = filter(x, 20.0, kDcRejectHz, 0.67);
+    ASSERT_EQ(y.size(), x.size()) << name;
+    double err = 0.0;
+    for (std::size_t i = 50; i < 750; ++i)
+      err = std::max(err, std::abs(y[i] - clean[i]));
+    EXPECT_LT(err, 0.05) << name;
+  }
 }
 
 TEST(FftLowpass, RemovesDcWhenAsked) {
   std::vector<double> x(400, 5.0);
-  const auto y = fft_lowpass(x, 20.0, 0.67, /*remove_dc=*/true);
-  for (double v : y) EXPECT_NEAR(v, 0.0, 1e-9);
-  const auto z = fft_lowpass(x, 20.0, 0.67, /*remove_dc=*/false);
-  for (double v : z) EXPECT_NEAR(v, 5.0, 1e-9);
+  for (const auto& [name, filter] : kPaths) {
+    for (double v : filter(x, 20.0, kDcRejectHz, 0.67))
+      EXPECT_NEAR(v, 0.0, 1e-9) << name;
+    for (double v : filter(x, 20.0, 0.0, 0.67))
+      EXPECT_NEAR(v, 5.0, 1e-9) << name;
+  }
 }
 
 TEST(FftBandpass, SelectsBand) {
@@ -235,28 +275,30 @@ TEST(FftBandpass, SelectsBand) {
   const auto mid = sine(0.3, 20.0, 1200);  // in band
   const auto high = sine(1.5, 20.0, 1200, 2.0);  // above band
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += mid[i] + high[i];
-  const auto y = fft_bandpass(x, 20.0, 0.1, 0.67);
   const auto clean = sine(0.3, 20.0, 1200);
-  for (std::size_t i = 100; i < 1100; ++i)
-    EXPECT_NEAR(y[i], clean[i], 0.1) << i;
+  for (const auto& [name, filter] : kPaths) {
+    const auto y = filter(x, 20.0, 0.1, 0.67);
+    for (std::size_t i = 100; i < 1100; ++i)
+      EXPECT_NEAR(y[i], clean[i], 0.1) << name << " i=" << i;
+  }
 }
 
 TEST(FftBandpass, ArgumentValidation) {
-  std::vector<double> x(16, 0.0);
-  EXPECT_THROW(fft_bandpass(x, 20.0, 0.5, 0.4), std::invalid_argument);
-  EXPECT_THROW(fft_lowpass(x, 20.0, -1.0), std::invalid_argument);
-  EXPECT_THROW(fft_lowpass(x, 0.0, 0.5), std::invalid_argument);
-}
-
-// --- Goertzel --------------------------------------------------------------------
-
-TEST(Goertzel, MatchesFftBinPower) {
-  const auto x = sine(2.0, 20.0, 400);
-  // Bin power of a unit sine at an exact bin: (N/2)^2 / N^2 = 1/4.
-  const double p = goertzel_power(x, 20.0, 2.0);
-  EXPECT_NEAR(p, 0.25, 0.01);
-  // Power at a far-away bin should be tiny.
-  EXPECT_LT(goertzel_power(x, 20.0, 7.0), 1e-6);
+  std::vector<cdouble> spectrum(16);
+  std::vector<double> out;
+  FftWorkspace ws;
+  const BandMaskJob bad_rate{&spectrum, 0.0, 0.1, 0.5, &out};
+  EXPECT_THROW(bandlimit_inverse_many({&bad_rate, 1}, ws),
+               std::invalid_argument);
+  EXPECT_THROW(band_top_bin(16, 0.0, 0.5), std::invalid_argument);
+  const auto plan = BandPlan::get(16, 2);
+  std::vector<cdouble> bins(plan->max_bin() + 1);
+  EXPECT_THROW(band_synthesize(*plan, bins, 0.0, 0.1, 0.5, out, ws),
+               std::invalid_argument);
+  // The band path needs exactly bins 0..K.
+  bins.pop_back();
+  EXPECT_THROW(band_synthesize(*plan, bins, 20.0, 0.1, 0.5, out, ws),
+               std::invalid_argument);
 }
 
 }  // namespace
