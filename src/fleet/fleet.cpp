@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/observability.hpp"
 
@@ -31,6 +30,13 @@ std::string shard_journal_directory(const std::string& root, std::size_t s) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "/shard-%03zu", s);
   return root + buf;
+}
+
+// Shard-pool workers beside the pumping thread: shard_threads threads
+// in all, never more than there are shards.
+std::size_t shard_workers(const FleetConfig& config) {
+  const std::size_t threads = std::min(config.shard_threads, config.n_shards);
+  return threads > 1 ? threads - 1 : 0;
 }
 
 }  // namespace
@@ -74,7 +80,9 @@ void FleetConfig::validate() const {
 // ReaderFleet
 
 ReaderFleet::ReaderFleet(FleetConfig config, EventCallback callback)
-    : config_(std::move(config)), callback_(std::move(callback)) {
+    : config_(std::move(config)),
+      callback_(std::move(callback)),
+      shard_pool_(shard_workers(config_)) {
   config_.validate();
   readers_.resize(config_.n_readers);
   for (ReaderSlot& slot : readers_) {
@@ -419,33 +427,19 @@ void ReaderFleet::process_rebalances(double now_s) {
 
 void ReaderFleet::execute_shards(double now_s) {
   // Latency observation rides the hub's injectable clock; hub->now() is
-  // thread-safe, so the striped path observes from worker threads too
-  // (the deterministic-clock byte-stability gate runs shards serially,
-  // where the call sequence is data-dependent only).
-  const auto run = [this, now_s](Shard& shard) {
-    const std::size_t index = static_cast<std::size_t>(&shard - &shards_[0]);
+  // thread-safe, so pool workers observe too (the deterministic-clock
+  // byte-stability gate runs shards serially, where the call sequence
+  // is data-dependent only).
+  shard_pool_.run(shards_.size(), [this, now_s](std::size_t index,
+                                                std::size_t /*slot*/) {
+    Shard& shard = shards_[index];
     const double t0 = obs_.hub != nullptr ? obs_.hub->now() : 0.0;
     for (const core::TagRead& read : shard.batch) shard.pipeline->push(read);
     shard.batch.clear();
     shard.pipeline->advance_to(now_s);
     if (obs_.hub != nullptr)
       obs_.shard_update_seconds[index]->observe(obs_.hub->now() - t0);
-  };
-  if (config_.shard_threads == 0 || shards_.size() <= 1) {
-    for (Shard& shard : shards_) run(shard);
-  } else {
-    const std::size_t n_threads =
-        std::min(config_.shard_threads, shards_.size());
-    std::vector<std::thread> workers;
-    workers.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      workers.emplace_back([this, t, n_threads, &run] {
-        for (std::size_t s = t; s < shards_.size(); s += n_threads)
-          run(shards_[s]);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
+  });
   // Journal commits stay on the coordinator thread: appends (phase 3)
   // and commits never race the shard workers.
   for (Shard& shard : shards_) {

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "core/analysis_pool.hpp"
 #include "core/ingest.hpp"
 #include "core/journal.hpp"
 #include "core/pipeline.hpp"
@@ -101,8 +102,11 @@ struct FleetConfig {
   std::string durability_directory;
   /// Journal template (directory is overridden per shard).
   core::JournalConfig journal{};
-  /// Worker threads for shard execution each pump. 0 = serial. Shards
-  /// are striped across threads; merge order is unaffected.
+  /// Threads that execute shards each pump, the pumping thread
+  /// included: the fleet starts min(shard_threads, n_shards) - 1
+  /// persistent workers once, and they claim shards dynamically
+  /// alongside the pumping thread. 0 or 1 = serial on the pumping
+  /// thread. Merge order is unaffected.
   std::size_t shard_threads = 0;
 
   /// Throws std::invalid_argument on nonsensical values.
@@ -163,7 +167,7 @@ class ReaderFleet {
 
   /// One coordinator cycle: drain + validate every reader, dedup /
   /// handoff, route to shards, process the rebalance backlog, execute
-  /// shards (serial or striped across shard_threads), merge and emit
+  /// shards (serial, or on the shard_threads pool), merge and emit
   /// events in (time, user) order. Call on a fixed cadence — the
   /// missed-traffic health ladder counts pump windows.
   void pump(double now_s);
@@ -251,6 +255,8 @@ class ReaderFleet {
   std::vector<core::TagRead> drain_scratch_;
   std::vector<AdmittedRead> admitted_scratch_;
   std::vector<FleetEvent> merge_scratch_;
+  /// Runs execute_shards; the pumping thread is slot 0.
+  core::AnalysisPool shard_pool_;
 
   // Null until bind_observability; `hub` is the is-bound sentinel.
   struct Instruments {
