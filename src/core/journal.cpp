@@ -29,6 +29,9 @@ constexpr std::uint32_t kFrameMagic = 0x54424A52u;  // "TBJR" little-endian
 constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 8 + 4;
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4;
 constexpr std::size_t kRecordPayloadBytes = 8 + kTagReadBytes;  // u64 seq
+// Every frame the writer emits has this size, so the scanner can tell
+// how many whole frames a resync skipped.
+constexpr std::size_t kFrameBytes = kFrameHeaderBytes + kRecordPayloadBytes;
 // Sanity bound on the length field: one flipped bit must not make the
 // scanner treat megabytes of file as a single frame.
 constexpr std::uint32_t kMaxPayloadBytes = 4096;
@@ -417,18 +420,39 @@ JournalScanResult scan_journal(
       }
     }
 
+    // Resync: after a frame fails, the scan hunts byte by byte for the
+    // next frame magic. `lost_from` is where it lost sync and
+    // `lost_counted` the corrupt records counted since; when the hunt
+    // ends, every whole frame it skipped that is not yet counted (a frame
+    // whose magic was damaged) counts as one corrupt record.
     std::size_t pos = kSegmentHeaderBytes;
-    bool tail_torn = false;
+    bool hunting = false;
+    std::size_t lost_from = 0;
+    std::size_t lost_counted = 0;
+    const auto lose_sync = [&](bool counted) {
+      if (!hunting) {
+        hunting = true;
+        lost_from = pos;
+        lost_counted = 0;
+      }
+      if (counted) {
+        ++result.counters.journal_records_corrupt;
+        ++lost_counted;
+      }
+      ++pos;
+    };
+    const auto end_hunt = [&](std::size_t end) {
+      const std::size_t skipped = (end - lost_from) / kFrameBytes;
+      if (skipped > lost_counted)
+        result.counters.journal_records_corrupt += skipped - lost_counted;
+      hunting = false;
+    };
     while (pos < bytes.size()) {
       const std::size_t left = bytes.size() - pos;
-      if (left < kFrameHeaderBytes) {
-        tail_torn = true;
-        break;
-      }
-      // Resync: hunt for the frame magic byte-by-byte after corruption.
+      if (left < kFrameHeaderBytes) break;
       ByteReader peek(bytes.data() + pos, 4);
       if (peek.u32() != kFrameMagic) {
-        ++pos;
+        lose_sync(false);
         continue;
       }
       ByteReader head(bytes.data() + pos, kFrameHeaderBytes);
@@ -436,21 +460,17 @@ JournalScanResult scan_journal(
       const std::uint32_t len = head.u32();
       const std::uint32_t crc = head.u32();
       if (len == 0 || len > kMaxPayloadBytes) {
-        ++result.counters.journal_records_corrupt;
-        ++pos;  // bogus length: resync from the next byte
+        lose_sync(true);  // bogus length: resync from the next byte
         continue;
       }
-      if (left < kFrameHeaderBytes + len) {
-        // Frame runs past the file: a torn append at the tail.
-        tail_torn = true;
-        break;
-      }
+      // A frame that runs past the file is a torn append at the tail.
+      if (left < kFrameHeaderBytes + len) break;
       const std::uint8_t* payload = bytes.data() + pos + kFrameHeaderBytes;
       if (common::crc32(payload, len) != crc) {
-        ++result.counters.journal_records_corrupt;
-        ++pos;  // bit flip somewhere in the frame: resync
+        lose_sync(true);  // bit flip somewhere in the frame: resync
         continue;
       }
+      if (hunting) end_hunt(pos);
       try {
         ByteReader body(payload, len);
         JournalRecord record;
@@ -468,6 +488,14 @@ JournalScanResult scan_journal(
         ++result.counters.journal_records_corrupt;
       }
       pos += kFrameHeaderBytes + len;
+    }
+    // In sync, the scan stops short of the end only on a partial frame.
+    // A hunt that reaches the end skipped whole frames plus a torn
+    // remainder, if any.
+    bool tail_torn = pos < bytes.size();
+    if (hunting) {
+      tail_torn = (bytes.size() - lost_from) % kFrameBytes != 0;
+      end_hunt(bytes.size());
     }
     if (tail_torn) ++result.counters.journal_truncated_tails;
   }

@@ -262,6 +262,31 @@ TEST(Journal, BitFlippedRecordIsSkippedAndCounted) {
   EXPECT_EQ(seqs.back(), 6u);
 }
 
+TEST(Journal, DamagedFrameMagicIsSkippedAndCounted) {
+  TempDir dir("journal_magic");
+  {
+    JournalWriter writer(journal_config(dir));
+    for (int i = 0; i < 3; ++i) writer.append(make_read(0.1 * i, 1, 1, 0.0));
+  }
+  const auto segments = files_with_ext(dir.path, ".tbj");
+  ASSERT_EQ(segments.size(), 1u);
+  std::vector<std::uint8_t> bytes = read_file(segments[0]);
+  constexpr std::size_t kHeader = 24;  // segment header
+  ASSERT_EQ((bytes.size() - kHeader) % 3, 0u);
+  const std::size_t frame_bytes = (bytes.size() - kHeader) / 3;
+  // One byte of frame 2's magic: the scan loses sync there and finds it
+  // again at frame 3, one whole frame later.
+  bytes[kHeader + frame_bytes + 1] ^= 0x20;
+  write_file(segments[0], bytes);
+
+  std::vector<std::uint64_t> seqs;
+  const JournalScanResult scan = scan_journal(
+      dir.str(), 0, [&](const JournalRecord& r) { seqs.push_back(r.seq); });
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_EQ(scan.counters.journal_records_corrupt, 1u);
+  EXPECT_EQ(scan.counters.journal_truncated_tails, 0u);
+}
+
 TEST(Journal, TornTailIsSkippedAndCounted) {
   TempDir dir("journal_torn");
   {
@@ -400,9 +425,9 @@ TEST(JournalFuzz, SeededRandomMutationsNeverThrow) {
     if (kind == testutil::MutationKind::Truncate && in_frame != 0) {
       EXPECT_EQ(scan.counters.journal_truncated_tails, 1u) << "case " << iter;
     }
-    // A flipped bit past the frame magic (length, CRC or payload) is
-    // always a counted corrupt record or a torn tail.
-    if (kind == testutil::MutationKind::Flip && in_frame >= 4) {
+    // A flipped bit anywhere in a frame (magic, length, CRC or payload)
+    // is always a counted corrupt record or a torn tail.
+    if (kind == testutil::MutationKind::Flip) {
       EXPECT_GE(scan.counters.journal_records_corrupt +
                     scan.counters.journal_truncated_tails,
                 1u)
