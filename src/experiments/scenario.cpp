@@ -11,6 +11,12 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("Scenario: need at least one user");
   if (config_.tags_per_user < 1 || config_.tags_per_user > 3)
     throw std::invalid_argument("Scenario: tags per user in [1, 3]");
+  // Bounded before anything is allocated: a scenario file asking for
+  // billions of tags must fail to parse, not exhaust memory.
+  if (config_.contending_tags < 0 || config_.contending_tags > 10000)
+    throw std::invalid_argument("Scenario: contending tags in [0, 10000]");
+  if (config_.num_antennas < 1 || config_.num_antennas > 255)
+    throw std::invalid_argument("Scenario: antennas in [1, 255]");
 
   // Subjects sit side by side at the configured distance, facing the
   // antenna (plus their individual orientation offset).

@@ -32,9 +32,9 @@ struct ScenarioConfig {
   double distance_m = 4.0;       // Table I default
   int tags_per_user = 3;         // Table I default
   std::vector<UserSpec> users{UserSpec{}};
-  int contending_tags = 0;       // item-labelling tags (Fig. 14)
+  int contending_tags = 0;       // item-labelling tags (Fig. 14), <= 10000
   double tx_power_dbm = 30.0;    // Table I default
-  int num_antennas = 1;
+  int num_antennas = 1;          // reader ports 1..255
   /// Antenna mounting height [m] (paper: ~1 m above ground). Overhead
   /// mounting (e.g. above a crib) uses larger values.
   double antenna_height_m = 1.0;
