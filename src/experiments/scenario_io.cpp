@@ -1,6 +1,7 @@
 #include "experiments/scenario_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,6 +54,18 @@ void check_known_keys(const common::IniSection& section,
   }
 }
 
+// get_int narrowed to int: a value outside int's range would wrap
+// (4294967297 -> 1), so it is rejected before the cast.
+int get_int_in_range(const common::IniSection& section, const char* key,
+                     int fallback) {
+  const long value = section.get_int(key, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max())
+    throw std::runtime_error("scenario: '" + std::string(key) + "' in [" +
+                             section.name + "] is out of range");
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 ScenarioConfig scenario_from_ini(std::istream& in) {
@@ -65,12 +78,11 @@ ScenarioConfig scenario_from_ini(std::istream& in) {
                           "antenna_height_m", "duration_s", "seed"});
     cfg.distance_m = s->get_double("distance_m", cfg.distance_m);
     cfg.tags_per_user =
-        static_cast<int>(s->get_int("tags_per_user", cfg.tags_per_user));
-    cfg.contending_tags = static_cast<int>(
-        s->get_int("contending_tags", cfg.contending_tags));
+        get_int_in_range(*s, "tags_per_user", cfg.tags_per_user);
+    cfg.contending_tags =
+        get_int_in_range(*s, "contending_tags", cfg.contending_tags);
     cfg.tx_power_dbm = s->get_double("tx_power_dbm", cfg.tx_power_dbm);
-    cfg.num_antennas =
-        static_cast<int>(s->get_int("num_antennas", cfg.num_antennas));
+    cfg.num_antennas = get_int_in_range(*s, "num_antennas", cfg.num_antennas);
     cfg.antenna_height_m =
         s->get_double("antenna_height_m", cfg.antenna_height_m);
     cfg.duration_s = s->get_double("duration_s", cfg.duration_s);

@@ -141,6 +141,14 @@ TEST(ScenarioIo, RejectsUnknownKeysAndBadValues) {
   std::istringstream many_ports("[scenario]\nnum_antennas = 256\n");
   EXPECT_THROW(experiments::scenario_from_ini(many_ports),
                std::invalid_argument);
+  // A count beyond int's range is rejected, not wrapped to 1 and 0.
+  std::istringstream wrapped_tags("[scenario]\ntags_per_user = 4294967297\n");
+  EXPECT_THROW(experiments::scenario_from_ini(wrapped_tags),
+               std::runtime_error);
+  std::istringstream wrapped_items(
+      "[scenario]\ncontending_tags = 4294967296\n");
+  EXPECT_THROW(experiments::scenario_from_ini(wrapped_items),
+               std::runtime_error);
 }
 
 TEST(ScenarioIo, RoundTrips) {
