@@ -143,13 +143,17 @@ std::vector<double> breathing_signal(std::size_t n, std::uint64_t seed = 3) {
 
 void BM_AcfFundamental(benchmark::State& state) {
   // range(0) samples at 20 Hz: 600 is the realtime engine's 30 s window
-  // (the adaptive-band seed), 2400 a 120 s offline track. One warm
-  // workspace, as extract_many passes it.
+  // (the adaptive-band seed), 2400 a 120 s offline track. The seed reads
+  // every D-th sample (D = 4 here), as extract_many hands it over, through
+  // one warm workspace.
   const auto x = breathing_signal(static_cast<std::size_t>(state.range(0)));
+  const std::size_t stride = signal::acf_decimation(20.0, 0.67);
+  std::vector<double> y;
+  for (std::size_t i = 0; i < x.size(); i += stride) y.push_back(x[i]);
   signal::FftWorkspace ws;
   for (auto _ : state) {
-    const double f =
-        signal::autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws);
+    const double f = signal::autocorrelation_fundamental(y, 20.0, stride,
+                                                         0.075, 0.67, ws);
     benchmark::DoNotOptimize(f);
   }
 }
@@ -267,8 +271,8 @@ void BM_ExtractStage(benchmark::State& state) {
   // One stage of the band-path extraction of the BM_ExtractManyBatch/601
   // tracks, so the stages' shares of that row can be read off: 0 = the
   // forward transform (bins 0..20), 1 = the coarse synthesis (bins
-  // 1..20), 2 = the ACF peak search on the coarse signal, 3 = the main
-  // synthesis (the adaptive band around the ACF peak). Items are tracks.
+  // 1..20, every D-th sample), 2 = the ACF seed on those samples, 3 = the
+  // main synthesis (the adaptive band around the seed). Items are tracks.
   constexpr std::size_t kTracks = 16;
   constexpr std::size_t kSamples = 601;
   constexpr double kRate = 20.0;
@@ -278,6 +282,7 @@ void BM_ExtractStage(benchmark::State& state) {
   const std::size_t top =
       signal::band_top_bin(kSamples, kRate, config.cutoff_hz);
   const auto plan = signal::BandPlan::get(kSamples, top);
+  const std::size_t stride = signal::acf_decimation(kRate, config.cutoff_hz);
   signal::FftWorkspace ws;
   std::vector<std::vector<double>> values(kTracks);
   std::vector<std::vector<signal::cdouble>> bins(
@@ -289,9 +294,9 @@ void BM_ExtractStage(benchmark::State& state) {
     signal::detrend_linear(values[j]);
     plan->forward(values[j], bins[j], ws.scratch);
     signal::band_synthesize(*plan, bins[j], kRate, signal::kDcRejectHz,
-                            config.cutoff_hz, coarse[j], ws);
+                            config.cutoff_hz, coarse[j], ws, stride);
     const double f0 = signal::autocorrelation_fundamental(
-        coarse[j], kRate, floor_hz, config.cutoff_hz, ws);
+        coarse[j], kRate, stride, floor_hz, config.cutoff_hz, ws);
     lo[j] = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
     hi[j] = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);
   }
@@ -303,11 +308,11 @@ void BM_ExtractStage(benchmark::State& state) {
         case 0: plan->forward(values[j], bins[j], ws.scratch); break;
         case 1:
           signal::band_synthesize(*plan, bins[j], kRate, signal::kDcRejectHz,
-                                  config.cutoff_hz, out, ws);
+                                  config.cutoff_hz, out, ws, stride);
           break;
         case 2:
           benchmark::DoNotOptimize(signal::autocorrelation_fundamental(
-              coarse[j], kRate, floor_hz, config.cutoff_hz, ws));
+              coarse[j], kRate, stride, floor_hz, config.cutoff_hz, ws));
           break;
         default:
           signal::band_synthesize(*plan, bins[j], kRate, lo[j], hi[j], out,
@@ -325,7 +330,8 @@ BENCHMARK(BM_ExtractStage)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 // The band/full crossover sweep behind signal::BandPlan::preferred. Both
 // rows run one extraction's transforms on an N-sample track whose
 // cutoff keeps bins 0..K: the forward transform, the coarse low-pass
-// (bins 1..K) and a main band filter over the middle third of them.
+// (bins 1..K; the band path synthesizes only the seed's every D-th
+// sample) and a main band filter over the middle third of them.
 // range(0) = N, range(1) = K; the track is 20 Hz noise.
 struct CrossoverCase {
   std::vector<double> x;
@@ -354,7 +360,8 @@ void BM_BandRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     plan->forward(c.x, bins, ws.scratch);
     signal::band_synthesize(*plan, bins, c.kRate, signal::kDcRejectHz,
-                            c.f_hi, coarse, ws);
+                            c.f_hi, coarse, ws,
+                            signal::acf_decimation(c.kRate, c.f_hi));
     signal::band_synthesize(*plan, bins, c.kRate, c.main_lo, c.main_hi,
                             filtered, ws);
     benchmark::DoNotOptimize(filtered.data());

@@ -116,32 +116,39 @@ void BreathExtractor::extract_many(std::span<const ExtractJob> jobs,
   }
 
   // Stage 3: effective pass band — the configured [low_cut, cutoff],
-  // optionally narrowed around the located spectral peak. Per job: the
-  // coarse low-pass of the track, then its ACF peak search.
+  // optionally narrowed around the located fundamental. Per job: every
+  // D-th sample of the coarse low-pass of the track, then the ACF seed
+  // over them.
   if (config_.adaptive_band) {
     const double floor_hz =
         std::max(config_.low_cut_hz, config_.peak_search_floor_hz);
     for (std::size_t j = 0; j < count; ++j) {
       if (scratch.active[j] == 0) continue;
+      const double rate = jobs[j].sample_rate_hz;
+      const std::size_t stride =
+          signal::acf_decimation(rate, config_.cutoff_hz);
       const std::vector<signal::cdouble>& spectrum = ws.spectra[j];
       if (scratch.band_plans[j] != nullptr) {
-        signal::band_synthesize(*scratch.band_plans[j], spectrum,
-                                jobs[j].sample_rate_hz, signal::kDcRejectHz,
-                                config_.cutoff_hz, scratch.coarse, ws);
+        signal::band_synthesize(*scratch.band_plans[j], spectrum, rate,
+                                signal::kDcRejectHz, config_.cutoff_hz,
+                                scratch.coarse, ws, stride);
       } else {
         scratch.coarse_spectrum.assign(spectrum.begin(), spectrum.end());
-        const signal::BandMaskJob coarse{
-            &scratch.coarse_spectrum, jobs[j].sample_rate_hz,
-            signal::kDcRejectHz, config_.cutoff_hz, &scratch.coarse};
+        const signal::BandMaskJob coarse{&scratch.coarse_spectrum, rate,
+                                         signal::kDcRejectHz,
+                                         config_.cutoff_hz, &scratch.coarse};
         signal::bandlimit_inverse_many({&coarse, 1}, ws);
+        std::vector<double>& c = scratch.coarse;
+        const std::size_t kept = (c.size() + stride - 1) / stride;
+        for (std::size_t i = 1; i < kept; ++i) c[i] = c[i * stride];
+        c.resize(kept);
       }
       // Seed the band from the autocorrelation fundamental of the
       // coarse-low-passed track: the ACF pools the fundamental and its
       // harmonics at the true period and tolerates the track's mixed
       // white + random-walk noise far better than spectral peak-picking.
       const double f0 = signal::autocorrelation_fundamental(
-          scratch.coarse, jobs[j].sample_rate_hz, floor_hz, config_.cutoff_hz,
-          ws);
+          scratch.coarse, rate, stride, floor_hz, config_.cutoff_hz, ws);
       if (f0 > 0.0) {
         double lo = std::max(scratch.band_lo[j], config_.adaptive_lo_frac * f0);
         double hi = std::min(scratch.band_hi[j], config_.adaptive_hi_frac * f0);

@@ -74,11 +74,11 @@ struct ExtractJob {
 
 /// Reusable staging for extract_many: per-job conditioned values and
 /// filter outputs (all live at once across the batched transform
-/// sweeps), the one-job-at-a-time coarse low-pass (its output, and on
-/// the full path a masked copy of the job's spectrum), each job's band
-/// plan (null on the full path), plus the sweep job arrays. High-water
-/// sized — nothing shrinks — so a warm scratch runs any previously-seen
-/// batch shape without allocating.
+/// sweeps), the one-job-at-a-time coarse low-pass (every D-th sample of
+/// it, and on the full path a masked copy of the job's spectrum), each
+/// job's band plan (null on the full path), plus the sweep job arrays.
+/// High-water sized — nothing shrinks — so a warm scratch runs any
+/// previously-seen batch shape without allocating.
 struct ExtractScratch {
   std::vector<std::vector<double>> values;
   std::vector<std::vector<double>> filtered;
@@ -110,17 +110,19 @@ class BreathExtractor {
 
   /// Batched extraction: conditions every track, runs ONE forward
   /// transform per track into workspace.spectra, and filters those bins
-  /// twice — the coarse adaptive-band low-pass (feeding the ACF peak
-  /// search) and the main band filter — then fills every job's `out`.
+  /// twice — the coarse adaptive-band low-pass (every D-th sample of it,
+  /// D = signal::acf_decimation(rate, cutoff), feeds the ACF seed) and
+  /// the main band filter — then fills every job's `out`.
   ///
   /// A track whose (N, K) passes signal::BandPlan::preferred, K the
   /// highest bin the cutoff can keep, takes the band path: a direct DFT
-  /// of bins 0..K and two band_synthesize calls. Any other track takes
-  /// the full path: one fft_real_many sweep, the coarse filter masking a
-  /// copy and the main filter masking the bins in place
-  /// (bandlimit_inverse_many). Either way the output is bit-identical to
-  /// transforming once per filter on the same path. Thread-safe for
-  /// distinct workspaces and scratches.
+  /// of bins 0..K and two band_synthesize calls, the coarse one strided
+  /// by D. Any other track takes the full path: one fft_real_many sweep,
+  /// the coarse filter masking a copy (read every D-th sample) and the
+  /// main filter masking the bins in place (bandlimit_inverse_many).
+  /// Either way the output is bit-identical to transforming once per
+  /// filter on the same path. Thread-safe for distinct workspaces and
+  /// scratches.
   void extract_many(std::span<const ExtractJob> jobs,
                     signal::FftWorkspace& workspace,
                     ExtractScratch& scratch) const;

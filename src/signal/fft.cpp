@@ -1,5 +1,6 @@
 #include "signal/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -499,17 +500,26 @@ void BandPlan::forward(std::span<const double> in, std::span<cdouble> out,
 }
 
 void BandPlan::synthesize(std::span<const cdouble> coeffs,
-                          std::size_t first_bin, std::span<double> out,
-                          FftScratch& scratch) const {
+                          std::size_t first_bin, std::size_t stride,
+                          std::span<double> out, FftScratch& scratch) const {
   const std::size_t count = coeffs.size();
-  if (out.size() != n_ || first_bin + count > bins_)
+  if (stride == 0 || out.size() != (n_ + stride - 1) / stride ||
+      first_bin + count > bins_)
     throw std::invalid_argument("BandPlan::synthesize: span size mismatch");
   // Sample t is (1/N) * sum_j (a_j cos - b_j sin)(2*pi*k_j*t/N) and
-  // sample N-t flips the sign of the sine sum; sample 0 is sum_j a_j / N.
+  // sample N-t flips the sign of the sine sum, so row t of the table
+  // gives sample t as C - S and sample N-t as C + S; sample 0 is
+  // sum_j a_j / N.
+  const std::size_t half = n_ / 2;
+  const std::size_t rows = half / stride;  // rows stride, 2*stride, ... <= N/2
+  const std::size_t last = out.size() - 1;
+  const std::size_t upper = n_ % stride == 0 ? rows : last - rows;
   std::vector<double>& staging = scratch.band;
-  staging.resize(2 * count);
+  staging.resize(2 * count + 2 * std::max(rows, upper));
   double* const a = staging.data();
   double* const b = a + count;
+  double* const plus = b + count;
+  double* const minus = plus + std::max(rows, upper);
   double y0 = 0.0;
   for (std::size_t j = 0; j < count; ++j) {
     a[j] = coeffs[j].real();
@@ -518,8 +528,30 @@ void BandPlan::synthesize(std::span<const cdouble> coeffs,
   }
   const double scale = 1.0 / static_cast<double>(n_);
   out[0] = y0 * scale;
-  simd::kernels().band_synthesis(a, b, count, table_.data() + first_bin,
-                                 bins_, n_ / 2, n_, scale, out.data());
+  const simd::DspKernels& k = simd::kernels();
+  const double* const table = table_.data() + first_bin;
+  const std::size_t row = 2 * bins_;
+  // Output i is sample i*stride. Rows stride, 2*stride, ... up to N/2
+  // give outputs 1..rows through C - S.
+  if (rows > 0)
+    k.band_synthesis(a, b, count, table + (stride - 1) * row, bins_,
+                     stride * row, rows, scale, plus, minus);
+  if (n_ % stride == 0) {
+    // Each of those rows also gives sample N - t, output last + 1 - i,
+    // through C + S (written first: the same slot when 2t == N).
+    for (std::size_t i = 1; i <= rows; ++i) {
+      out[last + 1 - i] = plus[i - 1];
+      out[i] = minus[i - 1];
+    }
+    return;
+  }
+  for (std::size_t i = 1; i <= rows; ++i) out[i] = minus[i - 1];
+  // The later outputs read rows N - i*stride, from the lowest (output
+  // `last`) upward in steps of stride, through C + S.
+  if (upper > 0)
+    k.band_synthesis(a, b, count, table + (n_ - last * stride - 1) * row,
+                     bins_, stride * row, upper, scale, plus, minus);
+  for (std::size_t j = 0; j < upper; ++j) out[last - j] = plus[j];
 }
 
 std::shared_ptr<const BandPlan> BandPlan::get(std::size_t n,

@@ -184,8 +184,9 @@ class RealFftPlan {
 /// The plan holds one symmetric half table, cos and sin of 2*pi*k*m/N
 /// for m = 1..floor(N/2) and k = 0..K: 16*(K+1)*floor(N/2) bytes, ~98 KB
 /// for (601, 20). The forward transform is a direct DFT of bins 0..K
-/// over the pairs x[m] +- x[N-m]; the synthesis builds all N samples
-/// from a run of bins, two at a time (samples t and N-t share a row).
+/// over the pairs x[m] +- x[N-m]; the synthesis builds all N samples,
+/// or every stride-th, from a run of bins (samples t and N-t share a
+/// row).
 /// Both inner loops run through the dispatched kernel table, so every
 /// SIMD level gives the same bytes. Cached and thread-safe like
 /// RealFftPlan.
@@ -222,14 +223,18 @@ class BandPlan {
   void forward(std::span<const double> in, std::span<cdouble> out,
                FftScratch& scratch) const;
 
-  /// out[t] = (1/N) * sum_j Re(coeffs[j] * exp(2*pi*i*(first_bin+j)*t/N))
-  /// for t < N (out.size() == n), the inverse of a Hermitian spectrum
-  /// whose bins outside [first_bin, first_bin + coeffs.size()) and their
-  /// mirrors are zero, with each kept bin k > 0 already weighted by the
-  /// count of k and N-k that it stands for. The run must end at or
-  /// below K. Allocation-free once scratch is warm.
+  /// out[i] = y[i*stride], i < ceil(N/stride) (out.size()), where
+  /// y[t] = (1/N) * sum_j Re(coeffs[j] * exp(2*pi*i*(first_bin+j)*t/N))
+  /// is the inverse of a Hermitian spectrum whose bins outside
+  /// [first_bin, first_bin + coeffs.size()) and their mirrors are zero,
+  /// with each kept bin k > 0 already weighted by the count of k and N-k
+  /// that it stands for. The run must end at or below K. A stride > 1
+  /// reads only the table rows its samples need (about 1/stride of
+  /// them), and each sample it gives is the same double stride 1 gives
+  /// at that index. Allocation-free once scratch is warm.
   void synthesize(std::span<const cdouble> coeffs, std::size_t first_bin,
-                  std::span<double> out, FftScratch& scratch) const;
+                  std::size_t stride, std::span<double> out,
+                  FftScratch& scratch) const;
 
  private:
   BandPlan(std::size_t n, std::size_t k_max);

@@ -55,18 +55,18 @@ struct DspKernels {
                         const double* table, std::size_t bins, double* re,
                         double* im);
 
-  /// Band-plan synthesis (signal::BandPlan::synthesize). Row t = 1..rows
-  /// starts at table + (t-1)*2*bins; per row
+  /// Band-plan synthesis (signal::BandPlan::synthesize). Row r =
+  /// 0..rows-1 starts at table + r*row_step; per row
   ///   C = sum_j a[j] * row[j],  S = sum_j b[j] * row[bins + j],  j < count,
   /// each summed in one fixed lane order: lane l (of 4) takes the terms
   /// j = 4i + l of the whole blocks of four in order, starting from 0.0;
   /// the lanes fold as (l0 + l1) + (l2 + l3); the count % 4 tail terms
-  /// then add in order. Then out[n - t] = (C + S) * scale and, after it
-  /// (the same slot when 2t == n), out[t] = (C - S) * scale.
+  /// then add in order. Then plus[r] = (C + S) * scale and
+  /// minus[r] = (C - S) * scale.
   void (*band_synthesis)(const double* a, const double* b, std::size_t count,
                          const double* table, std::size_t bins,
-                         std::size_t rows, std::size_t n, double scale,
-                         double* out);
+                         std::size_t row_step, std::size_t rows, double scale,
+                         double* plus, double* minus);
 };
 
 /// The live kernel table. First call resolves the dispatch (thread-safe,

@@ -190,11 +190,11 @@ inline double fold_lanes(__m256d v) {
 
 void band_synthesis_avx2(const double* a, const double* b, std::size_t count,
                          const double* table, std::size_t bins,
-                         std::size_t rows, std::size_t n, double scale,
-                         double* out) {
+                         std::size_t row_step, std::size_t rows, double scale,
+                         double* plus, double* minus) {
   const std::size_t whole = count - count % 4;
-  for (std::size_t t = 1; t <= rows; ++t) {
-    const double* const row = table + (t - 1) * 2 * bins;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* const row = table + r * row_step;
     __m256d vc = _mm256_setzero_pd();
     __m256d vs = _mm256_setzero_pd();
     for (std::size_t j = 0; j < whole; j += 4) {
@@ -209,8 +209,8 @@ void band_synthesis_avx2(const double* a, const double* b, std::size_t count,
       c = c + a[j] * row[j];
       s = s + b[j] * row[bins + j];
     }
-    out[n - t] = (c + s) * scale;
-    out[t] = (c - s) * scale;
+    plus[r] = (c + s) * scale;
+    minus[r] = (c - s) * scale;
   }
 }
 

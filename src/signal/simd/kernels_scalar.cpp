@@ -70,14 +70,15 @@ double lane_dot(const double* a, const double* x, std::size_t count) {
 
 void band_synthesis_scalar(const double* a, const double* b,
                            std::size_t count, const double* table,
-                           std::size_t bins, std::size_t rows, std::size_t n,
-                           double scale, double* out) {
-  for (std::size_t t = 1; t <= rows; ++t) {
-    const double* const row = table + (t - 1) * 2 * bins;
+                           std::size_t bins, std::size_t row_step,
+                           std::size_t rows, double scale, double* plus,
+                           double* minus) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* const row = table + r * row_step;
     const double c = lane_dot(a, row, count);
     const double s = lane_dot(b, row + bins, count);
-    out[n - t] = (c + s) * scale;
-    out[t] = (c - s) * scale;
+    plus[r] = (c + s) * scale;
+    minus[r] = (c - s) * scale;
   }
 }
 

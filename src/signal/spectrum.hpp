@@ -23,7 +23,7 @@ struct BandMaskJob {
   std::vector<double>* out = nullptr;
 };
 
-/// Reusable buffers for the plan-based spectral filters and the ACF.
+/// Reusable buffers for the plan-based spectral filters and the ACF seed.
 /// One workspace per thread; after the first call of a given size,
 /// repeated filtering through the same workspace performs no heap
 /// allocation (the analysis engine keeps one per worker). Buffers never
@@ -31,8 +31,7 @@ struct BandMaskJob {
 /// seen shape stays allocation-free.
 struct FftWorkspace {
   FftScratch scratch;
-  std::vector<cdouble> spectrum;  // ACF bins (padded power-spectrum round trip)
-  std::vector<double> signal;     // ACF real staging (padded track, then |X|^2)
+  std::vector<double> acf;  // ACF seed staging: centred samples, then r[lag]
   /// Per-job bins of BreathExtractor::extract_many's shared forward
   /// sweep: the whole batch's forward transforms must be live at once
   /// between the forward and inverse sweeps.
@@ -66,21 +65,34 @@ double dominant_frequency(std::span<const double> x, double sample_rate_hz,
                           double f_lo, double f_hi,
                           WindowType window = WindowType::Hann);
 
+/// Decimation D of the ACF seed for a signal at `sample_rate_hz` that
+/// is band-limited to `cutoff_hz`: floor(fs / (6 * cutoff)), at least 1,
+/// so the seed's grid fs/D stays at least six times the cutoff (D = 4,
+/// a 5 Hz grid, for the realtime 20 Hz tracks and 0.67 Hz cutoff): three
+/// times the signal's Nyquist rate, so the decimated samples lose none
+/// of it.
+std::size_t acf_decimation(double sample_rate_hz, double cutoff_hz);
+
 /// Fundamental-frequency estimate via the normalised autocorrelation
-/// (pitch-detection style). The ACF concentrates evidence from the
-/// fundamental *and* all harmonics at the true period, tolerates both
-/// white and random-walk noise, and resolves the period-multiple
-/// ambiguity by taking the smallest peak lag within 90% of the best.
-/// Searches periods in [1/f_hi, 1/f_lo]; returns 0 when no peak exists.
-/// `x` should be detrended / low-passed to f_hi by the caller. The
-/// ACF runs as two forward real transforms of the cached
-/// RealFftPlan(next_pow2(N + L)), L the longest searched lag (at most
-/// N - 1), and stages everything in ws.signal, ws.spectrum and
-/// ws.scratch (ws.spectra and the job arrays are untouched).
-/// Allocation-free once `ws` has seen the size.
-double autocorrelation_fundamental(std::span<const double> x,
-                                   double sample_rate_hz, double f_lo,
-                                   double f_hi, FftWorkspace& ws);
+/// (pitch-detection style), the seed of the extractor's adaptive band.
+/// The ACF concentrates evidence from the fundamental *and* all
+/// harmonics at the true period, tolerates both white and random-walk
+/// noise, and resolves the period-multiple ambiguity by taking the
+/// smallest peak lag within 90% of the best.
+///
+/// `y` holds every `stride`-th sample (y[i] = x[i*stride]) of a signal x
+/// at `sample_rate_hz` that the caller has detrended and low-passed to
+/// f_hi. The ACF is the direct linear sum r[lag] = sum_i y[i]*y[i+lag]
+/// of the mean-removed samples, judged raw as r[lag]/r[0]: the
+/// n/(n-lag) bias correction would lift period multiples over the
+/// fundamental. The peaks searched are the grid lags whose period lies
+/// in the full-rate range [ceil(fs/f_hi), floor(fs/f_lo)] samples (and
+/// below y.size()); the one lag past each end feeds only the peak test
+/// and the parabolic refinement. Returns 0 when no peak exists. Stages
+/// in ws.acf; allocation-free once `ws` has seen the size.
+double autocorrelation_fundamental(std::span<const double> y,
+                                   double sample_rate_hz, std::size_t stride,
+                                   double f_lo, double f_hi, FftWorkspace& ws);
 
 /// The paper's breath-extraction filter (Sec. IV-B) over spectra the
 /// caller already holds (fft_real_many): per job, zero every bin whose
@@ -102,10 +114,12 @@ std::size_t band_top_bin(std::size_t n, double sample_rate_hz, double f_hi);
 /// (BandPlan::forward, with bins n-K..n-1 their conjugate mirrors):
 /// keeps exactly the bins that mask keeps and synthesizes the same
 /// signal as the full inverse at a different rounding. `out` is resized
-/// to plan.size(); stages in ws.band and ws.scratch. Allocation-free
-/// once `ws` and `out` are warm.
+/// to ceil(plan.size() / stride) and receives every stride-th sample of
+/// that signal (BandPlan::synthesize). Stages in ws.band and ws.scratch.
+/// Allocation-free once `ws` and `out` are warm.
 void band_synthesize(const BandPlan& plan, std::span<const cdouble> bins,
                      double sample_rate_hz, double f_lo, double f_hi,
-                     std::vector<double>& out, FftWorkspace& ws);
+                     std::vector<double>& out, FftWorkspace& ws,
+                     std::size_t stride = 1);
 
 }  // namespace tagbreathe::signal

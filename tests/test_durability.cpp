@@ -1144,7 +1144,9 @@ TEST(DurableSoak, EventLogMatchesPlainSoak) {
     std::uint64_t hash = common::kFnvOffset;
     for (const std::string& line : durable.event_log)
       hash = common::fnv1a_line(hash, line);
-    EXPECT_EQ(hash, skip_clean ? 0xe2b00ee9e8dd50b6ull : 0xcbfd80f95ec71b76ull);
+    // The ByteIdentity core soak pins (test_capacity), re-pinned with
+    // them when the adaptive band's seed became the decimated raw ACF.
+    EXPECT_EQ(hash, skip_clean ? 0x6428738497a14285ull : 0xc5dd276f6a3b45a8ull);
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
@@ -349,6 +351,44 @@ TEST(BandPlan, SynthesisMatchesTheMaskedFullInverse) {
                                            << ".." << hi;
     }
   }
+}
+
+TEST(BandPlan, StridedSynthesisIsEveryStrideThSample) {
+  // A stride reads only the rows its samples need, but each sample is
+  // the same double the full synthesis gives at that index. Strides that
+  // divide n share each row between samples t and n-t; the others read
+  // disjoint rows for the two halves. The even n = 2*stride*m cases put
+  // a sample on the middle row. A 2 Hz top keeps a few bins even at
+  // n = 21.
+  constexpr double kTop = 2.0;
+  FftWorkspace ws;
+  for (const std::size_t n : {std::size_t{21}, std::size_t{24},
+                              std::size_t{600}, std::size_t{601}}) {
+    const std::vector<double> x = random_real_signal(n, 0x57 + n);
+    const std::size_t top = band_top_bin(n, 20.0, kTop);
+    const auto plan = BandPlan::get(n, top);
+    std::vector<cdouble> bins(top + 1);
+    plan->forward(x, bins, ws.scratch);
+    std::vector<double> full;
+    band_synthesize(*plan, bins, 20.0, kDcRejectHz, kTop, full, ws);
+    for (std::size_t stride = 1; stride <= 7; ++stride) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " stride=" + std::to_string(stride));
+      std::vector<double> strided;
+      band_synthesize(*plan, bins, 20.0, kDcRejectHz, kTop, strided, ws,
+                      stride);
+      ASSERT_EQ(strided.size(), (n + stride - 1) / stride);
+      for (std::size_t i = 0; i < strided.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(strided[i]),
+                  std::bit_cast<std::uint64_t>(full[i * stride]))
+            << "i=" << i;
+    }
+  }
+  std::vector<double> out;
+  EXPECT_THROW(band_synthesize(*BandPlan::get(24, 1),
+                               std::vector<cdouble>(2), 20.0, 0.0, 1.0, out,
+                               ws, 0),
+               std::invalid_argument);
 }
 
 TEST(BandPlan, KeepsExactlyTheBinsTheMaskKeeps) {

@@ -374,7 +374,9 @@ TEST(FftEquivalence, RealTransformsBitIdenticalAcrossLevels) {
 }
 
 // Band-plan kernels: every bin count around the AVX2 chunking (8, 4 and
-// the scalar tail) and every synthesis count around the 4-lane blocks.
+// the scalar tail), every synthesis count around the 4-lane blocks, and
+// synthesis rows read one after another and every 3rd (the strided
+// coarse signal's row step).
 TEST(VectorKernels, BandKernelsBitIdenticalToScalar) {
   const DspKernels* vec = vector_table();
   if (vec == nullptr) GTEST_SKIP() << "no vector unit on this build/machine";
@@ -399,16 +401,21 @@ TEST(VectorKernels, BandKernelsBitIdenticalToScalar) {
       const std::size_t count = bins - first;
       const std::vector<double> a = random_real(count, 0xA1 + count);
       const std::vector<double> b = random_real(count, 0xB1 + count);
-      for (const std::size_t n : {2 * kRows, 2 * kRows + 1}) {
-        std::vector<double> want(n, 0.0), got(n, 0.0);
+      for (const std::size_t every : {std::size_t{1}, std::size_t{3}}) {
+        const std::size_t rows = (kRows + every - 1) / every;
+        const double scale = 1.0 / static_cast<double>(2 * kRows + every);
+        std::vector<double> want_plus(rows), want_minus(rows);
+        std::vector<double> got_plus(rows), got_minus(rows);
         ref.band_synthesis(a.data(), b.data(), count, table.data() + first,
-                           bins, kRows, n, 1.0 / static_cast<double>(n),
-                           want.data());
+                           bins, every * 2 * bins, rows, scale,
+                           want_plus.data(), want_minus.data());
         vec->band_synthesis(a.data(), b.data(), count, table.data() + first,
-                            bins, kRows, n, 1.0 / static_cast<double>(n),
-                            got.data());
-        EXPECT_TRUE(spans_bit_equal(got, want))
-            << "bins=" << bins << " first=" << first << " n=" << n;
+                            bins, every * 2 * bins, rows, scale,
+                            got_plus.data(), got_minus.data());
+        EXPECT_TRUE(spans_bit_equal(got_plus, want_plus))
+            << "bins=" << bins << " first=" << first << " every=" << every;
+        EXPECT_TRUE(spans_bit_equal(got_minus, want_minus))
+            << "bins=" << bins << " first=" << first << " every=" << every;
       }
     }
   }
@@ -568,7 +575,8 @@ TEST(BatchedExtraction, ExtractManyMatchesSingleExtractBitwise) {
 TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
   // extract_many transforms each track once and filters the bins twice.
   // Spelled out with one forward transform per filter (coarse low-pass
-  // -> ACF -> main band filter) the output must not move a bit, on both
+  // -> every D-th sample -> ACF seed -> main band filter) the output
+  // must not move a bit, on both
   // paths: 600/601 samples at 20 Hz keep bins 0..20 and take the band
   // path; 601 samples at 2 Hz keep bins 0..201, above the crossover, and
   // take the full path, whose filter is fft_real_many followed by
@@ -621,8 +629,15 @@ TEST(BatchedExtraction, SharedForwardSweepMatchesTwoSweepComposition) {
     signal::detrend_linear(values);
     std::vector<double> coarse;
     filter(values, rate, signal::kDcRejectHz, config.cutoff_hz, coarse);
+    // The seed reads every D-th coarse sample (the band path synthesizes
+    // only those, the same doubles).
+    const std::size_t stride =
+        signal::acf_decimation(rate, config.cutoff_hz);
+    std::vector<double> seed_samples;
+    for (std::size_t i = 0; i < coarse.size(); i += stride)
+      seed_samples.push_back(coarse[i]);
     const double f0 = signal::autocorrelation_fundamental(
-        coarse, rate, floor_hz, config.cutoff_hz, ref_ws);
+        seed_samples, rate, stride, floor_hz, config.cutoff_hz, ref_ws);
     ASSERT_GT(f0, 0.0) << "job " << j;
     double lo = std::max(config.low_cut_hz, config.adaptive_lo_frac * f0);
     double hi = std::min(config.cutoff_hz, config.adaptive_hi_frac * f0);

@@ -31,10 +31,21 @@ void add_noise(std::vector<double>& x, double sigma, std::uint64_t seed) {
   for (double& v : x) v += rng.normal(0.0, sigma);
 }
 
+// Every stride-th sample of x: what the extractor hands the ACF seed.
+std::vector<double> every(std::span<const double> x, std::size_t stride) {
+  std::vector<double> y;
+  for (std::size_t i = 0; i < x.size(); i += stride) y.push_back(x[i]);
+  return y;
+}
+
+// The seed as the extractor runs it on a full-rate signal x: the
+// decimation the rate and top edge fix, then the ACF over those samples.
 double acf_fundamental(std::span<const double> x, double fs, double f_lo,
                        double f_hi) {
   FftWorkspace ws;
-  return autocorrelation_fundamental(x, fs, f_lo, f_hi, ws);
+  const std::size_t stride = acf_decimation(fs, f_hi);
+  return autocorrelation_fundamental(every(x, stride), fs, stride, f_lo, f_hi,
+                                     ws);
 }
 
 // --- periodogram -------------------------------------------------------------
@@ -130,79 +141,119 @@ TEST(AcfFundamental, ReturnsZeroOnPureNoiseSometimesButNeverThrows) {
   EXPECT_LE(f, 0.7);
 }
 
+TEST(AcfFundamental, DecimationFollowsRateAndCutoff) {
+  // The realtime tracks: 20 Hz, 0.67 Hz cutoff -> every 4th sample, a
+  // 5 Hz grid, 7.5x the cutoff.
+  EXPECT_EQ(acf_decimation(20.0, 0.67), 4u);
+  EXPECT_EQ(acf_decimation(64.0, 0.67), 15u);
+  // Never below 1, even when the rate barely clears the cutoff.
+  EXPECT_EQ(acf_decimation(2.0, 0.67), 1u);
+  EXPECT_THROW(acf_decimation(0.0, 0.67), std::invalid_argument);
+  EXPECT_THROW(acf_decimation(20.0, 0.0), std::invalid_argument);
+}
+
+TEST(AcfFundamental, DecimatedGridKeepsTheTopOfTheBand) {
+  // On the 5 Hz grid, 0.625-0.667 Hz has its ACF peak at lag 8, one step
+  // inside the full-rate range [30, 266] samples. A grid cut from
+  // 0.67 Hz itself would start there, lose the peak to the boundary and
+  // return the period multiple (~0.32 Hz).
+  for (const double f_true : {0.63, 0.65, 0.66}) {
+    const auto x = sine(f_true, 20.0, 601);
+    EXPECT_NEAR(acf_fundamental(x, 20.0, 0.075, 0.67), f_true, 0.02)
+        << "f_true=" << f_true;
+  }
+}
+
 /// Reference fundamental: the same estimator as
-/// autocorrelation_fundamental (normalised unbiased ACF, smallest peak
-/// lag within 90% of the best, parabolic refinement), but with the ACF
-/// summed directly in the time domain, O(N*L).
-double direct_acf_fundamental(std::span<const double> x, double fs,
-                              double f_lo, double f_hi) {
-  const std::size_t nx = x.size();
+/// autocorrelation_fundamental (raw normalised ACF of the mean-removed
+/// samples, smallest peak lag within 90% of the best, parabolic
+/// refinement), written straight from its definition: one direct sum
+/// per lag over the decimated samples, the lags whose period in
+/// full-rate samples lies in [ceil(fs/f_hi), floor(fs/f_lo)] searched.
+double direct_acf_fundamental(std::span<const double> y, double fs,
+                              std::size_t stride, double f_lo, double f_hi) {
+  const std::size_t ny = y.size();
   double mean = 0.0;
-  for (double v : x) mean += v;
-  mean /= static_cast<double>(nx);
-  const auto lag_min = static_cast<std::size_t>(std::ceil(fs / f_hi));
-  const auto lag_max = std::min(
-      static_cast<std::size_t>(std::floor(fs / f_lo)), nx - 1);
+  for (double v : y) mean += v;
+  mean /= static_cast<double>(ny);
+  const auto period_min = static_cast<std::size_t>(std::ceil(fs / f_hi));
+  const auto period_max = static_cast<std::size_t>(std::floor(fs / f_lo));
+  // First and last searched lag: the grid lags inside the period range.
+  const std::size_t first = (period_min + stride - 1) / stride;
+  const std::size_t last = std::min(period_max / stride, ny - 2);
   const auto raw = [&](std::size_t lag) {
     double acc = 0.0;
-    for (std::size_t i = 0; i + lag < nx; ++i)
-      acc += (x[i] - mean) * (x[i + lag] - mean);
+    for (std::size_t i = 0; i + lag < ny; ++i)
+      acc += (y[i] - mean) * (y[i + lag] - mean);
     return acc;
   };
   const double r0 = raw(0);
-  std::vector<double> acf(lag_max + 1, 0.0);
-  for (std::size_t lag = lag_min; lag <= lag_max; ++lag)
-    acf[lag] = raw(lag) / r0 * static_cast<double>(nx) /
-               static_cast<double>(nx - lag);
+  std::vector<double> acf(last + 2, 0.0);
+  for (std::size_t lag = first - 1; lag <= last + 1; ++lag)
+    acf[lag] = raw(lag) / r0;
   const auto is_peak = [&](std::size_t lag) {
     return acf[lag] >= acf[lag - 1] && acf[lag] >= acf[lag + 1];
   };
   double best = -2.0;
-  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag)
+  for (std::size_t lag = first; lag <= last; ++lag)
     if (is_peak(lag)) best = std::max(best, acf[lag]);
   if (best <= 0.0) return 0.0;
-  for (std::size_t lag = lag_min + 1; lag + 1 <= lag_max; ++lag) {
+  for (std::size_t lag = first; lag <= last; ++lag) {
     if (!is_peak(lag) || acf[lag] < 0.9 * best) continue;
     const double p0 = acf[lag - 1], p1 = acf[lag], p2 = acf[lag + 1];
     const double denom = p0 - 2.0 * p1 + p2;
     const double delta = std::abs(denom) > 1e-30
                              ? std::clamp(0.5 * (p0 - p2) / denom, -0.5, 0.5)
                              : 0.0;
-    return fs / (static_cast<double>(lag) + delta);
+    return fs / (static_cast<double>(stride) *
+                 (static_cast<double>(lag) + delta));
   }
   return 0.0;
 }
 
 TEST(AcfFundamental, MatchesDirectTimeDomainReference) {
   // Seeded breathing tracks (fundamental + asymmetric 2nd harmonic +
-  // white noise + drift) at 20 Hz. The planned FFT round trip must pick
-  // the same peak lag as the direct sum and agree to 1e-9 relative.
-  // n = 1000 is a size where next_pow2(N) < N + 266 lags, so a pad too
-  // short to avoid circular wrap shows. One workspace across sizes: it
-  // re-sizes between plans.
+  // white noise + drift) at 20 Hz, decimated as the extractor does (and
+  // at strides 1 and 5 too). The seed must pick the same peak lag as the
+  // direct sums and agree to 1e-9 relative. n = 240 clamps the longest
+  // lags to the samples there are. One workspace across sizes: it
+  // re-sizes between them.
   FftWorkspace ws;
   std::uint64_t seed = 0x5eed;
-  for (const std::size_t n : {600u, 601u, 1000u, 2400u}) {
+  for (const std::size_t n : {240u, 600u, 601u, 1000u, 2400u}) {
     for (const double f_true : {0.12, 0.2, 0.31, 0.45}) {
       auto x = sine(f_true, 20.0, n);
       const auto h = sine(2.0 * f_true, 20.0, n, 0.35, 0.9);
       for (std::size_t i = 0; i < n; ++i)
         x[i] += h[i] + 0.002 * static_cast<double>(i);
       add_noise(x, 0.25, ++seed);
-      const double reference = direct_acf_fundamental(x, 20.0, 0.075, 0.67);
-      const double planned =
-          autocorrelation_fundamental(x, 20.0, 0.075, 0.67, ws);
-      ASSERT_GT(reference, 0.0) << "n=" << n << " f=" << f_true;
-      EXPECT_NEAR(planned, reference, 1e-9 * reference)
-          << "n=" << n << " f=" << f_true;
-      // A fresh workspace gives the same result as the reused one.
-      EXPECT_EQ(acf_fundamental(x, 20.0, 0.075, 0.67), planned);
+      for (const std::size_t stride : {acf_decimation(20.0, 0.67),
+                                       std::size_t{1}, std::size_t{5}}) {
+        const std::vector<double> y = every(x, stride);
+        const double reference =
+            direct_acf_fundamental(y, 20.0, stride, 0.075, 0.67);
+        const double seeded =
+            autocorrelation_fundamental(y, 20.0, stride, 0.075, 0.67, ws);
+        ASSERT_GT(reference, 0.0)
+            << "n=" << n << " f=" << f_true << " stride=" << stride;
+        EXPECT_NEAR(seeded, reference, 1e-9 * reference)
+            << "n=" << n << " f=" << f_true << " stride=" << stride;
+        // A fresh workspace gives the same result as the reused one.
+        FftWorkspace fresh;
+        EXPECT_EQ(autocorrelation_fundamental(y, 20.0, stride, 0.075, 0.67,
+                                              fresh),
+                  seeded);
+      }
     }
   }
 }
 
 TEST(AcfFundamental, ErrorsAndEdgeCases) {
   EXPECT_THROW(acf_fundamental(std::vector<double>(100), 20.0, 0.5, 0.2),
+               std::invalid_argument);
+  FftWorkspace ws;
+  EXPECT_THROW(autocorrelation_fundamental(std::vector<double>(100), 20.0, 0,
+                                           0.1, 0.5, ws),
                std::invalid_argument);
   EXPECT_EQ(acf_fundamental(std::vector<double>(4), 20.0, 0.1, 0.5), 0.0);
   // All-zero signal: r0 = 0.
