@@ -76,7 +76,8 @@ void BM_JournalAppend(benchmark::State& state) {
     benchmark::DoNotOptimize(writer.last_committed_seq());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
   state.counters["bytes/read"] =
       static_cast<double>(writer.counters().journal_bytes_written) /
       static_cast<double>(writer.counters().journal_records_appended);

@@ -57,7 +57,8 @@ void BM_FleetFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(fleet.counters().events);
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_FleetFanout)
     ->ArgNames({"readers", "shards", "threads"})

@@ -37,7 +37,8 @@ void BM_EncodeTagReports(benchmark::State& state) {
     benchmark::DoNotOptimize(body.data());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(entries.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(entries.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_EncodeTagReports)->Arg(8)->Arg(64)->Arg(512);
 
@@ -49,7 +50,8 @@ void BM_DecodeTagReports(benchmark::State& state) {
     benchmark::DoNotOptimize(entries.data());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(state.range(0)), benchmark::Counter::kIsRate);
+      static_cast<double>(state.range(0)),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_DecodeTagReports)->Arg(8)->Arg(64)->Arg(512);
 
@@ -95,7 +97,8 @@ void BM_FaultyChannelWrite(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["bytes/s"] = benchmark::Counter(
-      static_cast<double>(wire.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(wire.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_FaultyChannelWrite);
 
@@ -124,7 +127,8 @@ void BM_FramerResyncCorrupted(benchmark::State& state) {
     benchmark::DoNotOptimize(decoded);
   }
   state.counters["bytes/s"] = benchmark::Counter(
-      static_cast<double>(stream.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(stream.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_FramerResyncCorrupted);
 

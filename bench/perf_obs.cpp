@@ -113,7 +113,8 @@ void BM_ObsOverhead(benchmark::State& state) {
     benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_ObsOverhead)
     ->ArgNames({"users", "bound"})

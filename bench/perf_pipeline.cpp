@@ -62,7 +62,8 @@ void BM_AnalyzeWindow(benchmark::State& state) {
   }
   state.counters["reads"] = static_cast<double>(reads.size());
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_AnalyzeWindow)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -75,7 +76,8 @@ void BM_RealtimePipelineFeed(benchmark::State& state) {
     benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_RealtimePipelineFeed)->Unit(benchmark::kMillisecond);
 
@@ -117,7 +119,7 @@ void BM_IngestQueueThroughput(benchmark::State& state) {
   }
   state.counters["reads/s"] = benchmark::Counter(
       static_cast<double>(producers) * kReadsPerProducer,
-      benchmark::Counter::kIsRate);
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_IngestQueueThroughput)
     ->Arg(1)
@@ -193,7 +195,8 @@ void BM_AnalysisFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(results.data());
   }
   state.counters["users/s"] = benchmark::Counter(
-      static_cast<double>(users), benchmark::Counter::kIsRate);
+      static_cast<double>(users),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_AnalysisFanout)
     ->ArgNames({"users", "threads"})
@@ -234,7 +237,8 @@ void BM_AnalysisFanoutBatched(benchmark::State& state) {
   }
   signal::simd::reset_dispatch_for_testing();
   state.counters["users/s"] = benchmark::Counter(
-      static_cast<double>(users), benchmark::Counter::kIsRate);
+      static_cast<double>(users),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_AnalysisFanoutBatched)
     ->ArgNames({"users", "vector", "batch"})
@@ -332,7 +336,8 @@ void BM_PipelineMultiUser(benchmark::State& state) {
     benchmark::DoNotOptimize(pipeline.tracked_users());
   }
   state.counters["reads/s"] = benchmark::Counter(
-      static_cast<double>(reads.size()), benchmark::Counter::kIsRate);
+      static_cast<double>(reads.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_PipelineMultiUser)
     ->ArgNames({"users", "threads", "skip"})

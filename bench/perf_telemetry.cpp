@@ -82,7 +82,8 @@ void BM_TelemetryFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(bus.counters().fanout_enqueued);
   }
   state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(kEvents), benchmark::Counter::kIsRate);
+      static_cast<double>(kEvents),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_TelemetryFanout)
     ->ArgName("subscribers")
@@ -113,7 +114,8 @@ void BM_WireCodec(benchmark::State& state) {
     benchmark::DoNotOptimize(parsed);
   }
   state.counters["frames/s"] = benchmark::Counter(
-      static_cast<double>(kFrames), benchmark::Counter::kIsRate);
+      static_cast<double>(kFrames),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_WireCodec)->Unit(benchmark::kMillisecond);
 
@@ -159,7 +161,8 @@ void BM_ServicePump(benchmark::State& state) {
     benchmark::DoNotOptimize(service.counters().events_sent);
   }
   state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(kEvents), benchmark::Counter::kIsRate);
+      static_cast<double>(kEvents),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_ServicePump)
     ->ArgName("clients")
