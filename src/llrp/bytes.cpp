@@ -40,56 +40,14 @@ void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
   buffer_[offset + 1] = static_cast<std::uint8_t>(v);
 }
 
-void ByteReader::need(std::size_t count) const {
-  if (pos_ + count > data_.size())
-    throw DecodeError("truncated data: need " + std::to_string(count) +
-                      " bytes, have " + std::to_string(remaining()));
+void ByteReader::throw_truncated(std::size_t count) const {
+  throw DecodeError("truncated data: need " + std::to_string(count) +
+                    " bytes, have " + std::to_string(remaining()));
 }
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] << 8) |
-                    data_[pos_ + 1];
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-std::int16_t ByteReader::i16() { return static_cast<std::int16_t>(u16()); }
 
 std::vector<std::uint8_t> ByteReader::bytes(std::size_t count) {
-  need(count);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + count));
-  pos_ += count;
-  return out;
-}
-
-ByteReader ByteReader::sub(std::size_t count) {
-  need(count);
-  ByteReader r(data_.subspan(pos_, count));
-  pos_ += count;
-  return r;
+  const auto v = view(count);
+  return {v.begin(), v.end()};
 }
 
 }  // namespace tagbreathe::llrp
