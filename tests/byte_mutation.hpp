@@ -1,12 +1,16 @@
 // One seeded byte-level mutation for the decoder fuzz loops (journal
 // segments, telemetry frames): flip a bit, overwrite a byte, truncate,
-// or insert 1..8 random bytes, all at one random position.
+// or insert 1..8 random bytes, all at one random position. Also the
+// FNV-1a fold the byte pins hash encoder output with.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 
 namespace tagbreathe::testutil {
@@ -47,6 +51,16 @@ inline Mutation mutate_once(common::Rng& rng,
     }
   }
   return m;
+}
+
+/// FNV-1a 64 of `bytes` (plus fnv1a_line's trailing '\n'). The byte pins
+/// compare it against a value captured from the encoder, so a byte-order
+/// slip that writer and reader would make together still shows.
+inline std::uint64_t byte_hash(std::span<const std::uint8_t> bytes) {
+  return common::fnv1a_line(
+      common::kFnvOffset,
+      std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size()));
 }
 
 }  // namespace tagbreathe::testutil

@@ -249,6 +249,36 @@ TEST(WireProtocol, NamesAreStable) {
   EXPECT_STREQ(client_state_name(ClientState::Streaming), "Streaming");
 }
 
+// FNV-1a of one frame of each type, captured before the telemetry codec
+// was merged with the journal's. A round trip cannot see a byte-order
+// slip that writer and reader make together; this hash can.
+TEST(WireProtocol, BytePinEveryFrameType) {
+  SubscribeFrame sub;
+  sub.filter = {FilterKind::Ward, 0x0102030405060708ull};
+  sub.policy = OverflowPolicy::CoalescePerUser;
+  sub.resume_cursor = 0x1122334455667788ull;
+  EventFrame ev;
+  ev.event.seq = 0x0A0B0C0D0E0F1011ull;
+  ev.event.shard = 0x0102;
+  ev.event.kind = core::PipelineEventKind::ApneaAlert;
+  ev.event.health = core::SignalHealth::Stale;
+  ev.event.reliable = true;
+  ev.event.user_id = 4242;
+  ev.event.time_s = 1234.0625;
+  ev.event.rate_bpm = -0.1;
+  std::vector<std::uint8_t> wire;
+  for (const Frame& frame :
+       {Frame{sub}, Frame{HeartbeatFrame{-12.345}},
+        Frame{SubAckFrame{9, 0x0102030405ull, 5, 3}}, Frame{ev},
+        Frame{GapFrame{100, 0xFFFF0000ull}},
+        Frame{ShedFrame{ShedReason::HeartbeatTimeout}}}) {
+    const auto bytes = encode_frame(frame);
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
+  }
+  EXPECT_EQ(wire.size(), 160u);
+  EXPECT_EQ(testutil::byte_hash(wire), 0xD349CD797CA1FF24ull);
+}
+
 // ---------------------------------------------------------------------------
 // Configuration validation
 
