@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -24,7 +23,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kSegmentMagic[8] = {'T', 'B', 'J', 'S', 'E', 'G', '0', '1'};
+constexpr std::uint8_t kSegmentMagic[8] = {'T', 'B', 'J', 'S',
+                                          'E', 'G', '0', '1'};
 constexpr std::uint32_t kFrameMagic = 0x54424A52u;  // "TBJR" little-endian
 constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 8 + 4;
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4;
@@ -93,97 +93,23 @@ const char* crash_point_name(CrashPoint point) noexcept {
   }
 }
 
-// ---------------------------------------------------------------------------
-// ByteWriter / ByteReader
-
-void ByteWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::put_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void ByteWriter::put_u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void ByteWriter::put_u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void ByteWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::put_bytes(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + size);
-}
-
-void ByteReader::need(std::size_t n) const {
-  if (size_ - pos_ < n)
-    throw DurabilityError("ByteReader: truncated input (need " +
-                          std::to_string(n) + " bytes, have " +
-                          std::to_string(size_ - pos_) + ")");
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-void ByteReader::bytes(void* out, std::size_t size) {
-  need(size);
-  std::memcpy(out, data_ + pos_, size);
-  pos_ += size;
-}
-
 void encode_tag_read(ByteWriter& out, const TagRead& read) {
-  out.put_f64(read.time_s);
-  out.put_bytes(read.epc.bytes().data(), rfid::Epc96::kBytes);
-  out.put_u8(read.antenna_id);
-  out.put_u16(read.channel_index);
-  out.put_f64(read.frequency_hz);
-  out.put_f64(read.rssi_dbm);
-  out.put_f64(read.phase_rad);
-  out.put_f64(read.doppler_hz);
+  out.f64(read.time_s);
+  out.bytes(read.epc.bytes());
+  out.u8(read.antenna_id);
+  out.u16(read.channel_index);
+  out.f64(read.frequency_hz);
+  out.f64(read.rssi_dbm);
+  out.f64(read.phase_rad);
+  out.f64(read.doppler_hz);
 }
 
 TagRead decode_tag_read(ByteReader& in) {
   TagRead read;
   read.time_s = in.f64();
   std::array<std::uint8_t, rfid::Epc96::kBytes> epc_bytes;
-  in.bytes(epc_bytes.data(), epc_bytes.size());
+  const auto epc = in.view(epc_bytes.size());
+  std::copy(epc.begin(), epc.end(), epc_bytes.begin());
   read.epc = rfid::Epc96(epc_bytes);
   read.antenna_id = in.u8();
   read.channel_index = in.u16();
@@ -244,10 +170,11 @@ JournalWriter::~JournalWriter() {
   }
 }
 
-void JournalWriter::write_all(const std::uint8_t* data, std::size_t size) {
+void JournalWriter::write_all(std::span<const std::uint8_t> bytes) {
   std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd_, data + written, size - written);
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd_, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw DurabilityError(std::string("JournalWriter: write failed: ") +
@@ -270,14 +197,14 @@ void JournalWriter::open_segment() {
     throw DurabilityError("JournalWriter: cannot open " + path.string() +
                           ": " + std::strerror(errno));
   ByteWriter header;
-  header.put_u32(kJournalFormatVersion);
-  header.put_u64(next_seq_);
-  const std::uint32_t crc = common::crc32(header.data(), header.size());
+  header.u32(kJournalFormatVersion);
+  header.u64(next_seq_);
+  const std::uint32_t crc = common::crc32(header.data().data(), header.size());
   ByteWriter full;
-  full.put_bytes(kSegmentMagic, sizeof(kSegmentMagic));
-  full.put_bytes(header.data(), header.size());
-  full.put_u32(crc);
-  write_all(full.data(), full.size());
+  full.bytes(kSegmentMagic);
+  full.bytes(header.data());
+  full.u32(crc);
+  write_all(full.data());
   segment_bytes_ = full.size();
   counters_.journal_bytes_written += full.size();
   ++counters_.journal_segments_created;
@@ -289,14 +216,14 @@ std::uint64_t JournalWriter::append(const TagRead& read) {
   const std::uint64_t seq = next_seq_++;
 
   frame_.clear();
-  frame_.put_u64(seq);
+  frame_.u64(seq);
   encode_tag_read(frame_, read);
-  const std::uint32_t crc = common::crc32(frame_.data(), frame_.size());
+  const std::uint32_t crc = common::crc32(frame_.data().data(), frame_.size());
 
-  pending_.put_u32(kFrameMagic);
-  pending_.put_u32(static_cast<std::uint32_t>(frame_.size()));
-  pending_.put_u32(crc);
-  pending_.put_bytes(frame_.data(), frame_.size());
+  pending_.u32(kFrameMagic);
+  pending_.u32(static_cast<std::uint32_t>(frame_.size()));
+  pending_.u32(crc);
+  pending_.bytes(frame_.data());
   ++pending_records_;
   buffered_seq_ = seq;
   newest_stream_s_ = std::max(newest_stream_s_, read.time_s);
@@ -320,9 +247,9 @@ void JournalWriter::commit() {
   // or injected crash) the writer stays dead, exactly like the process.
   wedged_ = true;
   const std::size_t half = pending_.size() / 2;
-  write_all(pending_.data(), half);
+  write_all(pending_.data().first(half));
   maybe_hook(hooks_, CrashPoint::MidJournalAppend);
-  write_all(pending_.data() + half, pending_.size() - half);
+  write_all(pending_.data().subspan(half));
   if (config_.fsync_on_commit && ::fsync(fd_) != 0)
     throw DurabilityError(std::string("JournalWriter: fsync failed: ") +
                           std::strerror(errno));
@@ -357,7 +284,7 @@ void JournalWriter::prune(std::uint64_t upto_seq) {
     if (in.read(magic, 8) &&
         std::memcmp(magic, kSegmentMagic, 8) == 0 &&
         in.read(reinterpret_cast<char*>(rest), sizeof(rest))) {
-      ByteReader r(rest, sizeof(rest));
+      ByteReader r(rest);
       r.u32();  // version
       first_seq[i] = r.u64();
     }
@@ -408,13 +335,12 @@ JournalScanResult scan_journal(
       continue;
     }
     {
-      ByteReader header(bytes.data() + 8, kSegmentHeaderBytes - 8);
-      const std::uint8_t* body = bytes.data() + 8;
-      const std::uint32_t expect = common::crc32(body, 12);
+      ByteReader header(std::span<const std::uint8_t>(bytes).subspan(
+          8, kSegmentHeaderBytes - 8));
+      const std::uint32_t expect = common::crc32(bytes.data() + 8, 12);
       const std::uint32_t version = header.u32();
       header.u64();  // first_seq (informational; records carry their own)
-      ByteReader crc_reader(bytes.data() + 20, 4);
-      if (crc_reader.u32() != expect || version != kJournalFormatVersion) {
+      if (header.u32() != expect || version != kJournalFormatVersion) {
         ++result.counters.journal_segments_rejected;
         continue;
       }
@@ -450,13 +376,12 @@ JournalScanResult scan_journal(
     while (pos < bytes.size()) {
       const std::size_t left = bytes.size() - pos;
       if (left < kFrameHeaderBytes) break;
-      ByteReader peek(bytes.data() + pos, 4);
-      if (peek.u32() != kFrameMagic) {
+      ByteReader head(std::span<const std::uint8_t>(bytes).subspan(
+          pos, kFrameHeaderBytes));
+      if (head.u32() != kFrameMagic) {
         lose_sync(false);
         continue;
       }
-      ByteReader head(bytes.data() + pos, kFrameHeaderBytes);
-      head.u32();  // magic
       const std::uint32_t len = head.u32();
       const std::uint32_t crc = head.u32();
       if (len == 0 || len > kMaxPayloadBytes) {
@@ -472,7 +397,7 @@ JournalScanResult scan_journal(
       }
       if (hunting) end_hunt(pos);
       try {
-        ByteReader body(payload, len);
+        ByteReader body({payload, len});
         JournalRecord record;
         record.seq = body.u64();
         record.read = decode_tag_read(body);

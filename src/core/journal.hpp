@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/metrics.hpp"
 #include "core/types.hpp"
 
@@ -46,9 +47,15 @@ namespace tagbreathe::core {
 
 inline constexpr std::uint32_t kJournalFormatVersion = 1;
 
-/// Unrecoverable durability-layer failure (I/O error, unusable
-/// directory). Data corruption is *not* reported this way — corrupt
-/// records are skipped and counted by the scanner.
+/// Durability-layer failure. The writers throw it on an I/O error or an
+/// unusable directory. The decoders throw it on bytes they cannot use: a
+/// read past the end of a record or snapshot section, and a snapshot
+/// whose magic, header CRC, version, section CRC, section length,
+/// element count or required sections are wrong. load_newest_snapshot
+/// catches it and falls back to an older snapshot; scan_journal catches
+/// it for a record that passed its CRC and counts the record corrupt.
+/// Other journal damage (bad segment headers, CRC mismatches, garbage
+/// between frames, torn tails) is skipped and counted, never thrown.
 struct DurabilityError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -79,51 +86,12 @@ struct DurabilityHooks {
 };
 
 // ---------------------------------------------------------------------------
-// Byte-level codec shared by journal frames and snapshot sections.
+// Byte codec of journal frames and snapshot sections: little-endian on
+// disk; a truncated read throws DurabilityError.
 
-/// Append-only little-endian byte buffer.
-class ByteWriter {
- public:
-  void clear() noexcept { buf_.clear(); }
-  std::size_t size() const noexcept { return buf_.size(); }
-  const std::uint8_t* data() const noexcept { return buf_.data(); }
-  const std::vector<std::uint8_t>& buffer() const noexcept { return buf_; }
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-
-  void put_u8(std::uint8_t v);
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_f64(double v);
-  void put_bytes(const void* data, std::size_t size);
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked reader over a byte range; throws DurabilityError on
-/// underrun (a truncated section must fail loudly, not read garbage).
-class ByteReader {
- public:
-  ByteReader(const std::uint8_t* data, std::size_t size) noexcept
-      : data_(data), size_(size) {}
-
-  std::size_t remaining() const noexcept { return size_ - pos_; }
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  void bytes(void* out, std::size_t size);
-
- private:
-  void need(std::size_t n) const;
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using ByteWriter = common::ByteWriter<common::ByteOrder::Little>;
+using ByteReader =
+    common::ByteReader<common::ByteOrder::Little, DurabilityError>;
 
 /// TagRead wire codec shared by journal and snapshot: f64 time, 12 B EPC,
 /// u8 antenna, u16 channel, 4×f64 radio fields.
@@ -197,7 +165,7 @@ class JournalWriter {
 
  private:
   void open_segment();
-  void write_all(const std::uint8_t* data, std::size_t size);
+  void write_all(std::span<const std::uint8_t> bytes);
 
   JournalConfig config_;
   const DurabilityHooks* hooks_;

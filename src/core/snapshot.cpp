@@ -20,7 +20,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'T', 'B', 'S', 'N', 'A', 'P', '0', '1'};
+constexpr std::uint8_t kSnapshotMagic[8] = {'T', 'B', 'S', 'N',
+                                           'A', 'P', '0', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 4 + 4;
 
 void maybe_hook(const DurabilityHooks* hooks, CrashPoint point) {
@@ -86,7 +87,7 @@ std::uint64_t read_count(ByteReader& in, std::size_t min_element_bytes) {
 }
 
 void encode_reads(ByteWriter& out, const std::vector<TagRead>& reads) {
-  out.put_u64(reads.size());
+  out.u64(reads.size());
   for (const TagRead& r : reads) encode_tag_read(out, r);
 }
 
@@ -99,25 +100,25 @@ std::vector<TagRead> decode_reads(ByteReader& in) {
 }
 
 void encode_pipeline(ByteWriter& out, const PipelineState& state) {
-  out.put_f64(state.now_s);
-  out.put_f64(state.start_s);
-  out.put_f64(state.next_update_s);
-  out.put_u8(state.started ? 1 : 0);
-  out.put_u64(state.users_evicted);
-  out.put_u64(state.users.size());
+  out.f64(state.now_s);
+  out.f64(state.start_s);
+  out.f64(state.next_update_s);
+  out.u8(state.started ? 1 : 0);
+  out.u64(state.users_evicted);
+  out.u64(state.users.size());
   for (const PipelineState::User& u : state.users) {
-    out.put_u64(u.user_id);
-    out.put_f64(u.last_read_s);
-    out.put_f64(u.last_crossing_s);
-    out.put_u8(u.in_apnea ? 1 : 0);
-    out.put_u8(u.lost ? 1 : 0);
-    out.put_u8(u.ever_reliable ? 1 : 0);
-    out.put_u8(static_cast<std::uint8_t>(u.health));
+    out.u64(u.user_id);
+    out.f64(u.last_read_s);
+    out.f64(u.last_crossing_s);
+    out.u8(u.in_apnea ? 1 : 0);
+    out.u8(u.lost ? 1 : 0);
+    out.u8(u.ever_reliable ? 1 : 0);
+    out.u8(static_cast<std::uint8_t>(u.health));
   }
-  out.put_u64(state.last_seen_reads.size());
+  out.u64(state.last_seen_reads.size());
   for (const auto& [user, seen] : state.last_seen_reads) {
-    out.put_u64(user);
-    out.put_u64(seen);
+    out.u64(user);
+    out.u64(seen);
   }
 }
 
@@ -152,20 +153,20 @@ PipelineState decode_pipeline(ByteReader& in) {
 }
 
 void encode_demux(ByteWriter& out, const DemuxState& state) {
-  out.put_u64(state.accepted);
-  out.put_u64(state.ignored);
-  out.put_u64(state.shed);
-  out.put_u64(state.streams.size());
+  out.u64(state.accepted);
+  out.u64(state.ignored);
+  out.u64(state.shed);
+  out.u64(state.streams.size());
   for (const DemuxState::Stream& s : state.streams) {
-    out.put_u64(s.key.user_id);
-    out.put_u32(s.key.tag_id);
-    out.put_u8(s.key.antenna_id);
+    out.u64(s.key.user_id);
+    out.u32(s.key.tag_id);
+    out.u8(s.key.antenna_id);
     encode_reads(out, s.reads);
   }
-  out.put_u64(state.reads_seen.size());
+  out.u64(state.reads_seen.size());
   for (const auto& [user, seen] : state.reads_seen) {
-    out.put_u64(user);
-    out.put_u64(seen);
+    out.u64(user);
+    out.u64(seen);
   }
 }
 
@@ -195,18 +196,18 @@ DemuxState decode_demux(ByteReader& in) {
 }
 
 void encode_validator(ByteWriter& out, const ValidatorState& state) {
-  out.put_u8(state.any_admitted ? 1 : 0);
-  out.put_f64(state.last_admitted_s);
-  out.put_u64(state.streams.size());
+  out.u8(state.any_admitted ? 1 : 0);
+  out.f64(state.last_admitted_s);
+  out.u64(state.streams.size());
   for (const ValidatorState::Stream& s : state.streams) {
-    out.put_u64(s.user_id);
-    out.put_u32(s.tag_id);
-    out.put_u8(s.antenna_id);
-    out.put_f64(s.last_time_s);
-    out.put_f64(s.last_phase_rad);
+    out.u64(s.user_id);
+    out.u32(s.tag_id);
+    out.u8(s.antenna_id);
+    out.f64(s.last_time_s);
+    out.f64(s.last_phase_rad);
   }
-  out.put_u64(state.lru_order.size());
-  for (const std::uint64_t user : state.lru_order) out.put_u64(user);
+  out.u64(state.lru_order.size());
+  for (const std::uint64_t user : state.lru_order) out.u64(user);
 }
 
 ValidatorState decode_validator(ByteReader& in) {
@@ -233,10 +234,10 @@ ValidatorState decode_validator(ByteReader& in) {
 
 void append_section(ByteWriter& out, SnapshotSection id,
                     const ByteWriter& payload) {
-  out.put_u32(static_cast<std::uint32_t>(id));
-  out.put_u32(static_cast<std::uint32_t>(payload.size()));
-  out.put_u32(common::crc32(payload.data(), payload.size()));
-  out.put_bytes(payload.data(), payload.size());
+  out.u32(static_cast<std::uint32_t>(id));
+  out.u32(static_cast<std::uint32_t>(payload.size()));
+  out.u32(common::crc32(payload.data().data(), payload.size()));
+  out.bytes(payload.data());
 }
 
 }  // namespace
@@ -246,15 +247,15 @@ void append_section(ByteWriter& out, SnapshotSection id,
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotData& data) {
   ByteWriter header_body;
-  header_body.put_u32(kSnapshotFormatVersion);
-  header_body.put_u64(data.last_journal_seq);
-  header_body.put_f64(data.now_s);
-  header_body.put_u32(3);  // section count
+  header_body.u32(kSnapshotFormatVersion);
+  header_body.u64(data.last_journal_seq);
+  header_body.f64(data.now_s);
+  header_body.u32(3);  // section count
 
   ByteWriter out;
-  out.put_bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  out.put_bytes(header_body.data(), header_body.size());
-  out.put_u32(common::crc32(header_body.data(), header_body.size()));
+  out.bytes(kSnapshotMagic);
+  out.bytes(header_body.data());
+  out.u32(common::crc32(header_body.data().data(), header_body.size()));
 
   ByteWriter section;
   encode_pipeline(section, data.pipeline);
@@ -265,7 +266,7 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotData& data) {
   section.clear();
   encode_validator(section, data.validator);
   append_section(out, SnapshotSection::Validator, section);
-  return std::vector<std::uint8_t>(out.data(), out.data() + out.size());
+  return out.take();
 }
 
 SnapshotData decode_snapshot(const std::uint8_t* bytes, std::size_t size) {
@@ -273,7 +274,7 @@ SnapshotData decode_snapshot(const std::uint8_t* bytes, std::size_t size) {
     throw DurabilityError("snapshot: file shorter than the header");
   if (std::memcmp(bytes, kSnapshotMagic, 8) != 0)
     throw DurabilityError("snapshot: bad magic");
-  ByteReader header(bytes + 8, kHeaderBytes - 8);
+  ByteReader header({bytes + 8, kHeaderBytes - 8});
   const std::uint32_t version = header.u32();
   SnapshotData data;
   data.last_journal_seq = header.u64();
@@ -291,7 +292,7 @@ SnapshotData decode_snapshot(const std::uint8_t* bytes, std::size_t size) {
   bool have_pipeline = false, have_demux = false, have_validator = false;
   DemuxState demux;
   for (std::uint32_t s = 0; s < n_sections; ++s) {
-    ByteReader head(bytes + pos, size - pos);
+    ByteReader head({bytes + pos, size - pos});
     const std::uint32_t id = head.u32();
     const std::uint32_t len = head.u32();
     const std::uint32_t crc = head.u32();
@@ -302,7 +303,7 @@ SnapshotData decode_snapshot(const std::uint8_t* bytes, std::size_t size) {
     if (common::crc32(bytes + pos, len) != crc)
       throw DurabilityError("snapshot: section " + std::to_string(id) +
                             " CRC mismatch");
-    ByteReader body(bytes + pos, len);
+    ByteReader body({bytes + pos, len});
     switch (static_cast<SnapshotSection>(id)) {
       case SnapshotSection::Pipeline:
         data.pipeline = decode_pipeline(body);

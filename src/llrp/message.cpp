@@ -102,15 +102,13 @@ MessageFramer::HeaderCheck MessageFramer::check_header(
   // Requiring a known message type makes false sync points rare (a
   // random byte pair passes version+type with probability ~2e-3, not
   // 1/8), so a resync almost always lands on a true frame boundary
-  // instead of mid-body garbage that stalls the stream.
-  const std::uint16_t version_type = static_cast<std::uint16_t>(
-      (buffer_[pos] << 8) | buffer_[pos + 1]);
-  if (!is_known_message_type(version_type & 0x3FF))
+  // instead of mid-body garbage that stalls the stream. The reads below
+  // stay within `avail`, so the reader never throws here.
+  ByteReader header(std::span<const std::uint8_t>(buffer_).subspan(pos));
+  if (!is_known_message_type(header.u16() & 0x3FF))
     return HeaderCheck::Implausible;
   if (avail < 6) return HeaderCheck::NeedMore;  // length not visible yet
-  std::uint32_t length = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    length = (length << 8) | buffer_[pos + 2 + i];
+  const std::uint32_t length = header.u32();
   if (length < kHeaderBytes || length > kMaxFrameBytes)
     return HeaderCheck::Implausible;
   return HeaderCheck::Plausible;
@@ -138,9 +136,8 @@ bool MessageFramer::next(Message& out) {
       case HeaderCheck::Plausible:
         break;
     }
-    std::uint32_t length = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-      length = (length << 8) | buffer_[2 + i];
+    const std::uint32_t length =
+        ByteReader(std::span<const std::uint8_t>(buffer_).subspan(2)).u32();
     if (buffer_.size() < length) return false;
     try {
       out = decode_message(

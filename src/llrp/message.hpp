@@ -8,11 +8,24 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "llrp/bytes.hpp"
+#include "common/bytes.hpp"
 
 namespace tagbreathe::llrp {
+
+/// Thrown on truncated or malformed wire data.
+class DecodeError : public std::runtime_error {
+ public:
+  explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// LLRP is big-endian on the wire, and so are the telemetry frames.
+using ByteWriter = common::ByteWriter<common::ByteOrder::Big>;
+using ByteReader = common::ByteReader<common::ByteOrder::Big, DecodeError>;
 
 inline constexpr std::uint8_t kProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 10;

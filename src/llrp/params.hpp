@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "llrp/bytes.hpp"
+#include "llrp/message.hpp"
 #include "rfid/channel_plan.hpp"
 #include "rfid/epc.hpp"
 

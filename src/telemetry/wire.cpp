@@ -1,20 +1,11 @@
 #include "telemetry/wire.hpp"
 
-#include <bit>
 #include <cstring>
 #include <string>
 
 namespace tagbreathe::telemetry {
 
 namespace {
-
-void put_f64(llrp::ByteWriter& w, double v) {
-  w.u64(std::bit_cast<std::uint64_t>(v));
-}
-
-double get_f64(llrp::ByteReader& r) {
-  return std::bit_cast<double>(r.u64());
-}
 
 template <typename Enum>
 Enum checked_enum(std::uint8_t raw, std::size_t count, const char* what) {
@@ -110,7 +101,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
       w.u8(static_cast<std::uint8_t>(f.policy));
       w.u64(f.resume_cursor);
     }
-    void operator()(const HeartbeatFrame& f) { put_f64(w, f.client_time_s); }
+    void operator()(const HeartbeatFrame& f) { w.f64(f.client_time_s); }
     void operator()(const SubAckFrame& f) {
       w.u64(f.subscription_id);
       w.u64(f.next_seq);
@@ -124,8 +115,8 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
       w.u8(static_cast<std::uint8_t>(f.event.health));
       w.u8(f.event.reliable ? 1 : 0);
       w.u64(f.event.user_id);
-      put_f64(w, f.event.time_s);
-      put_f64(w, f.event.rate_bpm);
+      w.f64(f.event.time_s);
+      w.f64(f.event.rate_bpm);
     }
     void operator()(const GapFrame& f) {
       w.u64(f.next_seq);
@@ -189,7 +180,7 @@ std::optional<Frame> FrameParser::next() {
     }
     case FrameType::Heartbeat: {
       HeartbeatFrame f;
-      f.client_time_s = get_f64(r);
+      f.client_time_s = r.f64();
       frame = f;
       break;
     }
@@ -212,8 +203,8 @@ std::optional<Frame> FrameParser::next() {
           checked_enum<core::SignalHealth>(r.u8(), 3, "signal health");
       f.event.reliable = r.u8() != 0;
       f.event.user_id = r.u64();
-      f.event.time_s = get_f64(r);
-      f.event.rate_bpm = get_f64(r);
+      f.event.time_s = r.f64();
+      f.event.rate_bpm = r.f64();
       frame = f;
       break;
     }

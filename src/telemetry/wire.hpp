@@ -3,7 +3,8 @@
 // The service fans monitor events out to nurse-station clients over the
 // same byte-stream substrate the LLRP side uses (llrp::ByteChannel, so
 // FaultyChannel can damage it in tests). Frames are big-endian, built
-// on llrp::ByteWriter/ByteReader:
+// on LLRP's aliases of the common byte codec (llrp::ByteWriter and
+// llrp::ByteReader, common/bytes.hpp):
 //
 //   u16 magic 0x5442 ("TB") | u8 version | u8 type | u32 payload_len |
 //   payload
@@ -29,7 +30,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "llrp/bytes.hpp"
+#include "llrp/message.hpp"
 
 namespace tagbreathe::telemetry {
 

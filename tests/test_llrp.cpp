@@ -7,7 +7,6 @@
 #include "body/subject.hpp"
 #include "common/units.hpp"
 #include "core/monitor.hpp"
-#include "llrp/bytes.hpp"
 #include "llrp/message.hpp"
 #include "llrp/params.hpp"
 #include "llrp/session.hpp"
@@ -18,46 +17,8 @@ namespace {
 
 // --- bytes -------------------------------------------------------------
 
-TEST(Bytes, RoundTripAllWidths) {
-  ByteWriter w;
-  w.u8(0xAB);
-  w.u16(0x1234);
-  w.u32(0xDEADBEEF);
-  w.u64(0x0123456789ABCDEFULL);
-  w.i16(-1234);
-  ByteReader r(w.data());
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u16(), 0x1234);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.i16(), -1234);
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(Bytes, BigEndianOnTheWire) {
-  ByteWriter w;
-  w.u16(0x0102);
-  EXPECT_EQ(w.data()[0], 0x01);
-  EXPECT_EQ(w.data()[1], 0x02);
-}
-
-TEST(Bytes, TruncationThrows) {
-  ByteWriter w;
-  w.u16(7);
-  ByteReader r(w.data());
-  r.u8();
-  EXPECT_THROW(r.u16(), DecodeError);
-}
-
-TEST(Bytes, PatchLength) {
-  ByteWriter w;
-  w.u32(0);
-  w.u8(9);
-  w.patch_u32(0, 5);
-  ByteReader r(w.data());
-  EXPECT_EQ(r.u32(), 5u);
-  EXPECT_THROW(w.patch_u32(2, 1), std::out_of_range);
-}
+// Widths, byte order, truncation and patching are covered for both
+// orders by ByteCodecContract in test_llrp_robustness.
 
 TEST(Bytes, SubReaderIsolatesRegion) {
   ByteWriter w;
