@@ -12,9 +12,11 @@
 //   work for a narrow subscriber is never done only to be shed later.
 // - Every subscription owns a bounded SPSC queue (producer = the bus on
 //   the coordinator thread, consumer = the connection writer) with a
-//   configurable overflow policy: drop-oldest, coalesce-per-user
-//   (newest rate per user survives; alarms never coalesce), or
-//   disconnect (the subscriber is shed outright).
+//   configurable overflow policy: drop-oldest, coalesce-per-user (the
+//   user's newest queued rate leaves, the new one joins at the back;
+//   alarms never coalesce), or disconnect (the subscriber is shed
+//   outright). The queue is a common::RingBuffer, whose push is the one
+//   overflow rule it shares with the ingest queue.
 // - A per-subscriber Up -> Lagging -> Shed ladder mirrors the fleet's
 //   reader ladder: backlog above `lagging_above` marks a subscriber
 //   Lagging (with hysteresis via `up_below`); a subscriber that stays
@@ -196,6 +198,8 @@ class EventBus {
  private:
   struct Subscription;
 
+  /// Drops the queue (queued -> dropped) and retires the subscription.
+  void close_locked(Subscription& sub);
   void shed_locked(Subscription& sub, ShedReason reason);
   bool filter_matches(const FilterSpec& filter,
                       const TelemetryEvent& event) const;
