@@ -45,16 +45,6 @@ core::ReadStream synthetic_reads(std::size_t users, double duration_s) {
 
 // --- instrument primitives --------------------------------------------------
 
-void BM_CounterAdd(benchmark::State& state) {
-  obs::Observability hub(64);
-  obs::Counter& c = hub.metrics().counter("bench_total");
-  for (auto _ : state) {
-    c.add();
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_CounterAdd);
-
 void BM_HistogramObserve(benchmark::State& state) {
   obs::Observability hub(64);
   obs::Histogram& h =

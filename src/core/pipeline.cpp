@@ -72,8 +72,7 @@ RealtimePipeline::RealtimePipeline(PipelineConfig config,
 
 void RealtimePipeline::emit(const PipelineEvent& event) {
   const auto kind = static_cast<std::size_t>(event.kind);
-  if (obs_.hub != nullptr && kind < std::size(obs_.events))
-    obs_.events[kind]->add();
+  if (kind < std::size(events_emitted_)) ++events_emitted_[kind];
   if (callback_) callback_(event);
 }
 
@@ -85,13 +84,13 @@ void RealtimePipeline::bind_observability(obs::Observability& hub) {
     sink.emit("pipeline_analyses_total", analyses_run_);
     sink.emit("pipeline_analyses_skipped_total", analyses_skipped_);
     sink.emit("pipeline_users_evicted_total", users_evicted_);
+    sink.emit("pipeline_updates_total", updates_run_);
+    for (std::size_t i = 0; i < std::size(events_emitted_); ++i) {
+      sink.emit("pipeline_events_total", "kind",
+                pipeline_event_name(static_cast<PipelineEventKind>(i)),
+                events_emitted_[i]);
+    }
   });
-  obs_.updates = &m.counter("pipeline_updates_total");
-  for (std::size_t i = 0; i < std::size(obs_.events); ++i) {
-    obs_.events[i] =
-        &m.counter("pipeline_events_total", "kind",
-                   pipeline_event_name(static_cast<PipelineEventKind>(i)));
-  }
   obs_.tracked = &m.gauge("pipeline_tracked_users");
   obs_.update_seconds =
       &m.histogram("pipeline_update_seconds", obs::default_latency_bounds());
@@ -246,11 +245,11 @@ void RealtimePipeline::advance_to(double time_s) {
 }
 
 void RealtimePipeline::update(double time_s) {
+  ++updates_run_;
   if (obs_.hub == nullptr) {
     run_update(time_s);
     return;
   }
-  obs_.updates->add();
   obs_.hub->trace().enter(obs_.trace_stage, time_s, user_state_.size());
   const double mark = obs_.hub->now();
   const std::size_t analyses_before = analyses_run_;

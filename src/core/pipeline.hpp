@@ -293,14 +293,14 @@ class RealtimePipeline {
   common::FlatUserMap<std::uint64_t> last_seen_reads_;
   std::size_t analyses_run_ = 0;
   std::size_t analyses_skipped_ = 0;
+  std::size_t updates_run_ = 0;
+  std::size_t events_emitted_[4] = {};  // indexed by PipelineEventKind
 
   // Null until bind_observability; `hub` is the is-bound sentinel. The
-  // analyses/skipped/evicted counts are the size_t fields above, read
-  // by collector_ at scrape time.
+  // update, event, analyses/skipped/evicted counts are the size_t
+  // fields above, read by collector_ at scrape time.
   struct Instruments {
     obs::Observability* hub = nullptr;
-    obs::Counter* updates = nullptr;
-    obs::Counter* events[4] = {};  // indexed by PipelineEventKind
     obs::Gauge* tracked = nullptr;
     obs::Histogram* update_seconds = nullptr;
     obs::Histogram* fanout = nullptr;

@@ -25,6 +25,15 @@ void check_name(std::string_view name) {
   }
 }
 
+void check_series(std::string_view name, std::string_view label_key,
+                  std::string_view label_value) {
+  check_name(name);
+  if (label_key.empty() != label_value.empty())
+    throw std::invalid_argument(
+        "obs: label key and value must be set together");
+  if (!label_key.empty()) check_name(label_key);
+}
+
 }  // namespace
 
 // --- Histogram -------------------------------------------------------------
@@ -66,12 +75,11 @@ std::span<const double> default_latency_bounds() noexcept {
 // --- MetricsRegistry -------------------------------------------------------
 
 struct MetricsRegistry::Entry {
-  enum Kind { kCounter = 0, kGauge = 1, kHistogram = 2 };
+  enum Kind { kGauge = 0, kHistogram = 1 };
   std::string name;
   std::string label_key;
   std::string label_value;
-  int kind = kCounter;
-  Counter counter;
+  int kind = kGauge;
   Gauge gauge;
   std::unique_ptr<Histogram> histogram;
 };
@@ -87,11 +95,7 @@ MetricsRegistry::~MetricsRegistry() {
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(
     std::string_view name, std::string_view label_key,
     std::string_view label_value, int kind) {
-  check_name(name);
-  if (label_key.empty() != label_value.empty())
-    throw std::invalid_argument(
-        "obs: label key and value must be set together");
-  if (!label_key.empty()) check_name(label_key);
+  check_series(name, label_key, label_value);
   auto key = std::make_tuple(std::string(name), std::string(label_key),
                              std::string(label_value));
   const auto it = entries_.find(key);
@@ -110,13 +114,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   Entry& ref = *entry;
   entries_.emplace(std::move(key), std::move(entry));
   return ref;
-}
-
-Counter& MetricsRegistry::counter(std::string_view name,
-                                  std::string_view label_key,
-                                  std::string_view label_value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_or_create(name, label_key, label_value, Entry::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name,
@@ -145,6 +142,13 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 // --- counter collectors ----------------------------------------------------
+
+void CounterSink::emit(std::string_view name, std::string_view label_key,
+                       std::string_view label_value, std::uint64_t value) {
+  check_series(name, label_key, label_value);
+  totals_[{std::string(name), std::string(label_key),
+           std::string(label_value)}] += value;
+}
 
 void CounterCollector::bind(MetricsRegistry& registry, Collect collect) {
   if (registry_ != &registry) retire();
@@ -190,9 +194,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       collects.push_back(collect);
     for (const auto& [key, entry] : entries_) {
       switch (entry->kind) {
-        case Entry::kCounter:
-          counters[key] += entry->counter.value();
-          break;
         case Entry::kGauge:
           snap.gauges.push_back(GaugeSample{entry->name, entry->label_key,
                                             entry->label_value,

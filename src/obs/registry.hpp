@@ -4,23 +4,23 @@
 //
 // Contract, enforced throughout:
 //
-// - Registration (counter()/gauge()/histogram()) is find-or-create
-//   under a mutex and may allocate; it happens once, at wiring time.
-// - Instrument *updates* (Counter::add, Gauge::set, Histogram::observe)
-//   are lock-free relaxed atomics on stable storage and never allocate,
-//   so they are safe on the pipeline hot path (the counting-operator-new
-//   gate in test_analysis_engine asserts this) and from any thread (the
-//   TSan `concurrency` suite hammers them).
+// - Registration (gauge()/histogram()) is find-or-create under a mutex
+//   and may allocate; it happens once, at wiring time.
+// - Instrument *updates* (Gauge::set, Histogram::observe) are lock-free
+//   relaxed atomics on stable storage and never allocate, so they are
+//   safe on the pipeline hot path (the counting-operator-new gate in
+//   test_analysis_engine asserts this) and from any thread (the TSan
+//   `concurrency` suite hammers them).
 // - snapshot() copies every instrument's current value under the
 //   registration mutex into plain structs, sorted by (name, label), so
 //   exports are deterministic for deterministic inputs.
-// - A counter a component already counts in its own struct is not
-//   counted again here: the component registers a CounterCollector
-//   that reports its struct fields at scrape time, and snapshot() sums
-//   every collector reporting one series (one per bound owner, e.g.
-//   each shard of a fleet).
+// - Counters have one home: the component's own struct fields. The
+//   component registers a CounterCollector that reports them at scrape
+//   time, and snapshot() sums every collector reporting one series
+//   (one per bound owner, e.g. each shard of a fleet).
 //
-// Names must match the Prometheus charset [a-zA-Z_:][a-zA-Z0-9_:]*.
+// Names must match the Prometheus charset [a-zA-Z_:][a-zA-Z0-9_:]*;
+// counter names are checked as collectors emit them.
 // One optional label pair per instrument covers the fleet's needs
 // (quarantine reason, analysis stage, reader/shard index) without
 // dragging in a full label-set model. Instruments are keyed by the full
@@ -44,21 +44,6 @@
 #include <vector>
 
 namespace tagbreathe::obs {
-
-/// Monotonic event count owned by the registry (for counts no
-/// component struct already keeps; see CounterCollector for those).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
 
 /// Point-in-time level (queue depth, tracked users).
 class Gauge {
@@ -143,16 +128,15 @@ struct MetricsSnapshot {
 
 /// Receives collectors' counter series during a scrape, summing the
 /// values every collector emits for one (name, label_key, label_value).
+/// Throws std::invalid_argument on a malformed name or label key, or a
+/// label key without a value (or the reverse).
 class CounterSink {
  public:
   void emit(std::string_view name, std::uint64_t value) {
     emit(name, {}, {}, value);
   }
   void emit(std::string_view name, std::string_view label_key,
-            std::string_view label_value, std::uint64_t value) {
-    totals_[{std::string(name), std::string(label_key),
-             std::string(label_value)}] += value;
-  }
+            std::string_view label_value, std::uint64_t value);
 
  private:
   friend class MetricsRegistry;
@@ -212,8 +196,6 @@ class MetricsRegistry {
   /// the registry. Throws std::invalid_argument on a malformed name or
   /// when the name is already registered as a different kind (or, for
   /// histograms, with different bounds).
-  Counter& counter(std::string_view name, std::string_view label_key = {},
-                   std::string_view label_value = {});
   Gauge& gauge(std::string_view name, std::string_view label_key = {},
                std::string_view label_value = {});
   Histogram& histogram(std::string_view name, std::span<const double> bounds,
@@ -221,7 +203,7 @@ class MetricsRegistry {
                        std::string_view label_value = {});
 
   /// Also runs every bound collector; each counter series is the sum
-  /// of its instrument, its collectors and its retired totals.
+  /// of its collectors and its retired totals.
   MetricsSnapshot snapshot() const;
   std::size_t size() const;
 

